@@ -14,13 +14,12 @@ import importlib.resources
 import json
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .canonical import canonicalize
 from .coboundary import (
-    Cochain,
     cocycles_of,
     delta,
     delta_matrix,
@@ -37,14 +36,13 @@ from .decorated import (
     is_cocycle_decorated,
     parse_decoration_lines,
 )
-from .enumeration import enumerate_grading, enumerate_trivalent, resolve_cap
+from .enumeration import enumerate_grading, enumerate_trivalent
 from .errors import GraphCohError
 from .graphs import (
     GraphSkeleton,
     SymmetryMode,
     format_graph,
     format_graphs,
-    grading,
     new_graph,
     parse_graphs,
     permutation_parity,
@@ -54,7 +52,6 @@ from .graphs import (
 )
 from .reps import SpinRep, as_spin, power_decompose, tensor_decompose, trivial_multiplicity
 from .tensors import CATALOGUE, EquivariantTensor, Rad, catalogue_tensor, direct_sum, eps_tensor, parse_tensor
-from . import decorated as _decorated_mod
 
 SUITES = ("delta2", "canon", "ihx", "multiplicities", "decorated-delta2")
 

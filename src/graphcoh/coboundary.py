@@ -12,10 +12,12 @@ by one.  delta raises the degree by one and keeps the order, and squares
 to zero on classes; both facts are exercised by the test suite rather than
 assumed.
 
-Kernels are computed over exact rationals: the coefficient matrix is
-brought to reduced row echelon form with pivots chosen by smallest
-numerator/denominator magnitude, and the kernel basis is read off the free
-columns.  Everything is deterministic for fixed bases.
+Ranks and kernels are computed over exact rationals by one sparse
+Gauss-Jordan pass over the matrix's own (row, col) entries: columns are
+eliminated left to right, each pivot is the sparsest unused row holding
+its column, and the kernel basis is read off the free columns as sparse
+vectors.  The reduced row echelon form is unique, so the pivot rule only
+affects fill-in; everything is deterministic for fixed bases.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 from .canonical import GraphClass, canonicalize
 from .enumeration import enumerate_grading, resolve_cap
 from .errors import DegenerateContraction, FormatError, NotRegular
-from .graphs import GraphSkeleton, SymmetryMode, grading, regular_edges
+from .graphs import GraphSkeleton, SymmetryMode, regular_edges
 
 
 def contraction_sign(i: int, j: int) -> int:
@@ -189,9 +191,11 @@ def delta(c: Cochain | GraphClass) -> Cochain:
     """Coboundary of a cochain (or of a single class, sign folded in)."""
     if isinstance(c, GraphClass):
         c = Cochain.from_class(c)
-    out = Cochain()
-    for cls, coeff in c.terms.items():
-        out = out + coeff * _delta_of_class(cls)
+    acc: dict[GraphClass, Fraction] = {}
+    for cls, coeff in c._terms.items():
+        for target, v in _delta_of_class(cls)._terms.items():
+            acc[target] = acc.get(target, Fraction(0)) + coeff * v
+    out = Cochain(acc)
     if not c.is_zero and not out.is_zero:
         n, t = c.grading
         assert out.grading == (n, t + 1), "delta must shift the degree by one"
@@ -218,19 +222,12 @@ class DeltaMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.codomain), len(self.domain))
 
-    def to_dense(self) -> list[list[Fraction]]:
-        rows, cols = self.shape
-        dense = [[Fraction(0)] * cols for _ in range(rows)]
-        for (r, c), v in self.entries.items():
-            dense[r][c] = v
-        return dense
-
     def rank(self) -> int:
-        _, pivots = rref(self.to_dense())
-        return len(pivots)
+        return len(rref(len(self.domain), self.entries))
 
-    def kernel(self) -> list[list[Fraction]]:
-        return kernel_basis(self.to_dense(), len(self.domain))
+    def kernel(self) -> list[dict[int, Fraction]]:
+        """Sparse kernel vectors {domain index: coefficient}, one per free column."""
+        return kernel_basis(len(self.domain), self.entries)
 
 
 def delta_matrix(
@@ -264,70 +261,65 @@ def delta_matrix(
 # ---------------------------------------------------------------------------
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot columns).
+def rref(
+    ncols: int, entries: Mapping[tuple[int, int], Fraction]
+) -> dict[int, dict[int, Fraction]]:
+    """Sparse reduced row echelon form of (row, col) entries: {pivot column: row}.
 
-    The pivot in each column is the candidate with the smallest
-    max(|numerator|, denominator), ties broken by row position, which keeps
-    intermediate fractions small without giving up determinism.
+    Rows are {column: value} dicts.  Columns are eliminated left to right;
+    the pivot of a column is the sparsest unused row holding it, ties
+    broken by row index.  The pivot row is scaled to 1 and the column is
+    cleared from every other row, pivot rows included.  The result is
+    keyed in ascending pivot order.
     """
-    if not rows:
-        return rows, []
-    nrows, ncols = len(rows), len(rows[0])
-    r = 0
-    pivots: list[int] = []
+    rows: dict[int, dict[int, Fraction]] = {}
+    holders: dict[int, set[int]] = {}
+    for (r, c), v in entries.items():
+        if v:
+            rows.setdefault(r, {})[c] = Fraction(v)
+            holders.setdefault(c, set()).add(r)
+    reduced: dict[int, dict[int, Fraction]] = {}
+    used: set[int] = set()
     for c in range(ncols):
-        if r >= nrows:
-            break
-        best_row = -1
-        best_size = None
-        for rr in range(r, nrows):
-            x = rows[rr][c]
-            if x != 0:
-                size = max(abs(x.numerator), x.denominator)
-                if best_size is None or size < best_size:
-                    best_size, best_row = size, rr
-        if best_row < 0:
+        free = [r for r in holders.get(c, ()) if r not in used]
+        if not free:
             continue
-        rows[r], rows[best_row] = rows[best_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for rr in range(nrows):
-            if rr != r and rows[rr][c] != 0:
-                f = rows[rr][c]
-                rows[rr] = [a - f * b for a, b in zip(rows[rr], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+        p = min(free, key=lambda r: (len(rows[r]), r))
+        prow = rows[p]
+        pv = prow[c]
+        if pv != 1:
+            prow = rows[p] = {k: v / pv for k, v in prow.items()}
+        for r in [r for r in holders[c] if r != p]:
+            row, f = rows[r], rows[r][c]
+            for k, v in prow.items():
+                x = row.get(k, 0) - f * v
+                if x:
+                    row[k] = x
+                    holders[k].add(r)  # p holds every k in prow
+                else:
+                    del row[k]
+                    holders[k].discard(r)
+        used.add(p)
+        reduced[c] = prow
+    return reduced
 
 
-def kernel_basis(dense: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Deterministic kernel basis (one vector per free column of the RREF)."""
-    if not dense:
-        return [
-            [Fraction(1) if i == f else Fraction(0) for i in range(ncols)]
-            for f in range(ncols)
-        ]
-    rows, pivots = rref([list(row) for row in dense])
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -rows[r][f]
-        basis.append(vec)
-    return basis
+def kernel_basis(
+    ncols: int, entries: Mapping[tuple[int, int], Fraction]
+) -> list[dict[int, Fraction]]:
+    """Sparse kernel basis: {f: 1} + {p: -R[p][f]} per free column f, ascending."""
+    reduced = rref(ncols, entries)
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in reduced}
+    for p, row in reduced.items():
+        for f, v in row.items():
+            if f != p:
+                basis[f][p] = -v
+    return list(basis.values())
 
 
 def cocycles_of(dm: DeltaMatrix) -> list[Cochain]:
     """Kernel of a delta matrix, expressed as cochains over its domain basis."""
-    out = []
-    for vec in dm.kernel():
-        out.append(Cochain({cls: coeff for cls, coeff in zip(dm.domain, vec)}))
-    return out
+    return [Cochain({dm.domain[j]: v for j, v in vec.items()}) for vec in dm.kernel()]
 
 
 def cocycle_basis(

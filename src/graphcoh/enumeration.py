@@ -116,8 +116,8 @@ def _valence_filter(arr: np.ndarray, v: int, mode: SymmetryMode, tables, trivale
 def _pack_powers(width: int, base: int) -> np.ndarray:
     if base**width > 2**62:
         raise BasisTooLarge(
-            f"candidate keys do not fit a packed integer (width {width}, base {base})",
-            cap=0,
+            f"candidate keys of width {width} in base {base} do not fit a packed "
+            f"integer ({base}**{width} > 2**62)"
         )
     return np.array([base ** (width - 1 - i) for i in range(width)], dtype=np.int64)
 
@@ -200,8 +200,7 @@ def enumerate_by_counts(
     if v > 8:
         raise BasisTooLarge(
             f"V={v} needs a {math.factorial(v)}-permutation sweep per candidate, "
-            "past the exhaustive-search bound (V <= 8)",
-            cap,
+            "past the exhaustive-search bound (V <= 8)"
         )
 
     classes: list[GraphClass] = []

@@ -62,12 +62,15 @@ class DegenerateContraction(GraphCohError):
 
 
 class BasisTooLarge(GraphCohError):
-    """An enumeration would exceed the configured class cap."""
+    """An enumeration would exceed the class cap, or a fixed bound (cap None)."""
 
-    def __init__(self, detail, cap):
+    def __init__(self, detail, cap=None):
         self.detail = detail
         self.cap = cap
-        super().__init__(f"basis enumeration exceeds the cap ({cap}): {detail}")
+        if cap is None:
+            super().__init__(f"basis enumeration refused: {detail}")
+        else:
+            super().__init__(f"basis enumeration exceeds the cap ({cap}): {detail}")
 
 
 class ShapeMismatch(GraphCohError):

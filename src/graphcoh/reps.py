@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,16 +61,8 @@ class SpinRep:
         return " + ".join(f"E_{j}" for j in self.summands)
 
 
-def _couple(counts: dict[int, int], j2: int) -> dict[int, int]:
-    """Clebsch-Gordan step on doubled spins: counts (x) E_{j2/2}."""
-    out: dict[int, int] = {}
-    for a2, mult in counts.items():
-        for l2 in range(abs(a2 - j2), a2 + j2 + 1, 2):
-            out[l2] = out.get(l2, 0) + mult
-    return out
-
-
 def _product(c1: dict[int, int], c2: dict[int, int]) -> dict[int, int]:
+    """Clebsch-Gordan product of multiplicity dicts over doubled spins."""
     out: dict[int, int] = {}
     for a2, m1 in c1.items():
         for b2, m2 in c2.items():
@@ -86,7 +78,7 @@ def tensor_decompose(spins: Sequence) -> dict[Spin, int]:
         raise ValueError("need at least one spin")
     counts = {int(2 * js[0]): 1}
     for j in js[1:]:
-        counts = _couple(counts, int(2 * j))
+        counts = _product(counts, {int(2 * j): 1})
     return {Fraction(l2, 2): m for l2, m in sorted(counts.items())}
 
 

@@ -284,6 +284,9 @@ def test_frozen_shapes_and_ranks():
     assert (dm.shape, dm.rank(), len(dm.kernel())) == ((13, 280), 12, 268)
     dm = delta_matrix(2, -1, connected=False, mode=SymmetryMode.EDGE_RENUMBERING)
     assert (dm.shape, dm.rank(), len(dm.kernel())) == ((19, 53), 15, 38)
+    # literal V=5, E=6; sympy's DomainMatrix rank is also 268
+    dm = delta_matrix(1, -3, connected=False)
+    assert (dm.shape, dm.rank(), len(dm.kernel())) == ((280, 6505), 268, 6237)
 
 
 def test_trivalent_cell_frozen_dimensions():
@@ -330,7 +333,7 @@ def test_kernel_vectors_are_annihilated():
     for vec in dm.kernel():
         for r in range(rows):
             assert (
-                sum(dm.entries.get((r, c), Fraction(0)) * vec[c] for c in range(cols))
+                sum(dm.entries.get((r, c), Fraction(0)) * vec.get(c, 0) for c in range(cols))
                 == 0
             )
 
@@ -380,14 +383,21 @@ small_fractions = st.fractions(
 )
 def test_elimination_matches_sympy(rows):
     sympy = pytest.importorskip("sympy")
-    reduced, pivots = rref([list(r) for r in rows])
+    entries = {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row) if v}
+    reduced = rref(3, entries)
     expected = sympy.Matrix(rows)
-    assert len(pivots) == expected.rank()
-    kernel = kernel_basis([list(r) for r in rows], 3)
+    assert len(reduced) == expected.rank()
+    # the RREF is unique: pivot columns and reduced rows match sympy's exactly
+    form, pivots = expected.rref()
+    assert tuple(reduced) == pivots
+    for i, p in enumerate(pivots):
+        row = reduced[p]
+        assert [sympy.Rational(row.get(c, 0)) for c in range(3)] == list(form.row(i))
+    kernel = kernel_basis(3, entries)
     assert len(kernel) == 3 - expected.rank()
     for vec in kernel:
         for row in rows:
-            assert sum(a * b for a, b in zip(row, vec)) == 0
+            assert sum(row[c] * v for c, v in vec.items()) == 0
 
 
 # ---------------------------------------------------------------------------

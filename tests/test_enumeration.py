@@ -141,6 +141,19 @@ def test_class_count_above_cap_is_rejected():
         enumerate_trivalent(2, connected=True, mode=SymmetryMode.LITERAL, cap=50)
 
 
+@pytest.mark.parametrize(
+    "vertices, bound",
+    [(7, "2**62"), (9, "V <= 8")],
+    ids=["packed-key-width", "permutation-sweep"],
+)
+def test_refusal_names_the_bound_it_hit(vertices, bound):
+    with pytest.raises(BasisTooLarge) as info:
+        enumerate_by_counts(vertices, 5, mode=SymmetryMode.EDGE_RENUMBERING)
+    assert info.value.cap is None
+    assert bound in str(info.value)
+    assert "cap" not in str(info.value)
+
+
 def test_resolve_cap_precedence(monkeypatch):
     monkeypatch.delenv("GRAPHCOH_CAP", raising=False)
     assert resolve_cap() == DEFAULT_CAP
