@@ -83,7 +83,7 @@ class _PermTables:
         self.pairs = pairs
         self.pair_id = {p: i for i, p in enumerate(pairs)}
         p = len(pairs)
-        pair_map = np.empty((g, p), dtype=np.int16)
+        pair_map = np.empty((g, p), dtype=np.uint8)  # p <= 28 pairs for V <= 8
         pair_flip = np.empty((g, p), dtype=bool)
         for i, perm in enumerate(perm_list):
             for pid, (u, w) in enumerate(pairs):
@@ -96,7 +96,7 @@ class _PermTables:
         self.pair_flip = pair_flip
         pair_map_inv = np.empty_like(pair_map)
         rows = np.arange(g)[:, None]
-        pair_map_inv[rows, pair_map] = np.arange(p, dtype=np.int16)[None, :]
+        pair_map_inv[rows, pair_map] = np.arange(p, dtype=np.uint8)[None, :]
         self.pair_map_inv = pair_map_inv
 
 
@@ -147,15 +147,13 @@ def _row_lex_min(cand: np.ndarray) -> tuple[int, np.ndarray]:
     return best, ties
 
 
-def _skeleton_from_row(row: np.ndarray, g: GraphSkeleton, mode: SymmetryMode, tables) -> GraphSkeleton:
+def _skeleton_from_row(v: int, row, mode: SymmetryMode, pairs) -> GraphSkeleton:
+    """Decode a row of pair ids (LITERAL) or pair multiplicities (otherwise)."""
     if mode is SymmetryMode.LITERAL:
-        edges = tuple(tables.pairs[int(p)] for p in row)
+        edges = tuple(pairs[int(p)] for p in row)
     else:
-        edges_list = []
-        for pid, m in enumerate(-row):
-            edges_list.extend([tables.pairs[pid]] * int(m))
-        edges = tuple(edges_list)
-    return GraphSkeleton(g.vertex_count, edges)
+        edges = tuple(pairs[pid] for pid, m in enumerate(row) for _ in range(int(m)))
+    return GraphSkeleton(v, edges)
 
 
 @functools.lru_cache(maxsize=1 << 18)
@@ -165,7 +163,8 @@ def _canonicalize_cached(g: GraphSkeleton, mode: SymmetryMode):
     reversal_parity = (flips + stored_reversals) & 1
     signs = tables.parity * (1 - 2 * reversal_parity).astype(np.int8)
     tie_signs = set(int(s) for s in signs[ties])
-    skeleton = _skeleton_from_row(cand[best], g, mode, tables)
+    row = cand[best] if mode is SymmetryMode.LITERAL else -cand[best]
+    skeleton = _skeleton_from_row(g.vertex_count, row, mode, tables.pairs)
     sign_state = 0 if tie_signs == {1, -1} else tie_signs.pop()
     return GraphClass(skeleton, sign_state, mode), tables.perms[best], int(signs[best])
 

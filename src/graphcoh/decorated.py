@@ -40,15 +40,15 @@ from .errors import (
     DegenerateContraction,
     FormatError,
     MixedScalarKinds,
-    NotAntisymmetric,
     ShapeMismatch,
     SlotOutOfRange,
 )
 from .graphs import GraphSkeleton, SymmetryMode, grading, regular_edges
 from .tensors import (
-    FLOAT_TOLERANCE,
     EquivariantTensor,
     ScalarKind,
+    jacobi_violation,
+    nonzero_mask,
     unify_kinds,
 )
 
@@ -279,8 +279,7 @@ def is_cocycle_decorated(c: DecoratedChain, tolerance: float | None = None) -> b
                 decs[perm[v - 1] - 1] = h.decorations[v - 1]
             moved = DecoratedGraph(cls.skeleton, tuple(decs))
             groups.setdefault(cls.skeleton, []).append((coeff * sign * wsign, moved))
-    tol = FLOAT_TOLERANCE if tolerance is None else tolerance
-    for skel, members in groups.items():
+    for members in groups.values():
         dims = {g.dim for _, g in members}
         if len(dims) > 1:
             raise ShapeMismatch(f"skeleton group mixes dimensions {sorted(dims)}")
@@ -292,12 +291,8 @@ def is_cocycle_decorated(c: DecoratedChain, tolerance: float | None = None) -> b
             big = _big_tensor(arrays)
             big = big * (coeff if exact else float(coeff))
             total = big if total is None else total + big
-        if exact:
-            if any(x != 0 for x in total.ravel()):
-                return False
-        else:
-            if np.abs(total).max() > tol:
-                return False
+        if nonzero_mask(total, exact, tolerance).any():
+            return False
     return True
 
 
@@ -312,33 +307,7 @@ def ihx_violation(
     """
     if f.valence != 3:
         raise ShapeMismatch(f"need a valence-3 tensor, got valence {f.valence}")
-    arr = f.array
-    exact = f.kind.is_exact
-    tol = FLOAT_TOLERANCE if tolerance is None else tolerance
-    for k in range(1, 4):
-        for l in range(k + 1, 4):
-            swapped = np.swapaxes(arr, k - 1, l - 1)
-            if exact:
-                bad = np.vectorize(lambda a, b: a != -b, otypes=[bool])(swapped, arr)
-            else:
-                bad = np.abs(swapped + arr) > tol
-            if bad.any():
-                flat = int(np.flatnonzero(bad.ravel())[0])
-                witness = tuple(int(x) + 1 for x in np.unravel_index(flat, bad.shape))
-                raise NotAntisymmetric((k, l), witness)
-    base = arr if exact else np.asarray(arr, dtype=float)
-    t1 = np.tensordot(base, base, axes=([2], [0]))
-    t2 = t1.transpose(0, 2, 1, 3)
-    t3 = t1.transpose(0, 2, 3, 1)
-    total = t1 - t2 + t3
-    if exact:
-        bad = np.vectorize(lambda x: x != 0, otypes=[bool])(total)
-    else:
-        bad = np.abs(total) > tol
-    if not bad.any():
-        return None
-    flat = int(np.flatnonzero(bad.ravel())[0])
-    return tuple(int(x) + 1 for x in np.unravel_index(flat, bad.shape))
+    return jacobi_violation(f, tolerance)
 
 
 def ihx_check(f: EquivariantTensor, tolerance: float | None = None) -> bool:

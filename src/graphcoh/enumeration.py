@@ -7,14 +7,15 @@ over the pairs.  A class is kept when its labeled representative is the
 canonical one (no vertex permutation reaches a lexicographically smaller
 flattened edge list) and no self-symmetry carries sign -1.
 
-Small universes are walked one object at a time through canonicalize;
-larger ones go through a vectorized sweep that packs each candidate row
-into a single integer key and filters the whole universe against one
-permutation at a time.  Both paths produce identical class lists.
+One vectorized sweep serves every cell: the whole universe is filtered
+against one vertex permutation at a time, each permuted row compared
+with its original lexicographically, at the first column where the two
+differ.  Rows that survive every permutation are decoded into classes.
 
 Enumeration refuses to start when the labeled universe would exceed a
-multiple of the configured class cap (BasisTooLarge), so hopeless requests
-fail fast instead of grinding.
+multiple of the configured class cap, or when V > 8 puts the exhaustive
+permutation sweep out of reach (BasisTooLarge), so hopeless requests fail
+fast instead of grinding.
 """
 
 from __future__ import annotations
@@ -25,19 +26,13 @@ import os
 
 import numpy as np
 
-from .canonical import GraphClass, _perm_tables, canonicalize
+from .canonical import GraphClass, _perm_tables, _skeleton_from_row
 from .errors import BasisTooLarge
-from .graphs import (
-    GraphSkeleton,
-    SymmetryMode,
-    counts_for_grading,
-    is_connected,
-)
+from .graphs import SymmetryMode, counts_for_grading, is_connected
 
 DEFAULT_CAP = 200_000
 CAP_ENV_VAR = "GRAPHCOH_CAP"
 
-_SIMPLE_PATH_LIMIT = 20_000  # walk tiny universes object by object
 _UNIVERSE_FACTOR = 50  # labeled universe may be this many times the cap
 _COMPACT_EVERY = 32  # drop dead rows from the bulk sweep this often
 
@@ -75,13 +70,6 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     return out
 
 
-def _expand_multiplicities(row, pairs) -> tuple[tuple[int, int], ...]:
-    edges: list[tuple[int, int]] = []
-    for pid, m in enumerate(row):
-        edges.extend([pairs[pid]] * int(m))
-    return tuple(edges)
-
-
 def _labeled_universe(v: int, e: int, mode: SymmetryMode, tables) -> np.ndarray:
     """Rows of the labeled universe: pair-id sequences or multiplicity vectors."""
     p = len(tables.pairs)
@@ -113,13 +101,15 @@ def _valence_filter(arr: np.ndarray, v: int, mode: SymmetryMode, tables, trivale
     return arr[keep]
 
 
-def _pack_powers(width: int, base: int) -> np.ndarray:
-    if base**width > 2**62:
-        raise BasisTooLarge(
-            f"candidate keys of width {width} in base {base} do not fit a packed "
-            f"integer ({base}**{width} > 2**62)"
-        )
-    return np.array([base ** (width - 1 - i) for i in range(width)], dtype=np.int64)
+def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rowwise: is row a lexicographically less than row b?
+
+    The rows are compared at their first differing column; equal rows
+    compare at column 0 and are not less.
+    """
+    rows = np.arange(a.shape[0])
+    first = (a != b).argmax(axis=1)
+    return a[rows, first] < b[rows, first]
 
 
 def _bulk_survivors(arr: np.ndarray, mode: SymmetryMode, tables):
@@ -131,41 +121,28 @@ def _bulk_survivors(arr: np.ndarray, mode: SymmetryMode, tables):
     greatest vector.
     """
     nperm = len(tables.perms)
-    p = len(tables.pairs)
-    width = arr.shape[1]
-    base = 16 if (p if mode is SymmetryMode.LITERAL else arr.max(initial=0)) < 16 else 32
-    powers = _pack_powers(width, base)
+    literal = mode is SymmetryMode.LITERAL
 
-    def keys_under(rows: np.ndarray, g: int) -> np.ndarray:
-        if mode is SymmetryMode.LITERAL:
-            transformed = tables.pair_map[g].astype(np.int64)[rows]
-        else:
-            transformed = rows[:, tables.pair_map_inv[g]].astype(np.int64)
-        return transformed @ powers
+    def permuted(rows: np.ndarray, g: int) -> np.ndarray:
+        return tables.pair_map[g][rows] if literal else rows[:, tables.pair_map_inv[g]]
 
-    keys0 = arr.astype(np.int64) @ powers
     live = arr
-    live_keys = keys0
     mask = np.ones(live.shape[0], dtype=bool)
-    minimize = mode is SymmetryMode.LITERAL
     for g in range(1, nperm):
-        kg = keys_under(live, g)
-        mask &= (kg >= live_keys) if minimize else (kg <= live_keys)
+        moved = permuted(live, g)
+        mask &= ~(_lex_less(moved, live) if literal else _lex_less(live, moved))
         if g % _COMPACT_EVERY == 0 and not mask.all():
             live = live[mask]
-            live_keys = live_keys[mask]
             mask = np.ones(live.shape[0], dtype=bool)
     live = live[mask]
-    live_keys = live_keys[mask]
 
     # Zero detection: collect signs of the permutations fixing each survivor.
     zero = np.zeros(live.shape[0], dtype=bool)
     for g in range(1, nperm):
-        kg = keys_under(live, g)
-        eq = kg == live_keys
+        eq = (permuted(live, g) == live).all(axis=1)
         if not eq.any():
             continue
-        if mode is SymmetryMode.LITERAL:
+        if literal:
             flips = tables.pair_flip[g][live[eq]].sum(axis=1)
         else:
             flips = live[eq].astype(np.int16) @ tables.pair_flip[g].astype(np.int16)
@@ -203,37 +180,15 @@ def enumerate_by_counts(
             "past the exhaustive-search bound (V <= 8)"
         )
 
-    classes: list[GraphClass] = []
-    if universe <= _SIMPLE_PATH_LIMIT:
-        seen: dict[GraphSkeleton, GraphClass] = {}
-        tables = _perm_tables(v)
-        arr = _labeled_universe(v, e, mode, tables)
-        arr = _valence_filter(arr, v, mode, tables, trivalent)
-        for row in arr:
-            if mode is SymmetryMode.LITERAL:
-                edges = tuple(tables.pairs[int(pid)] for pid in row)
-            else:
-                edges = _expand_multiplicities(row, tables.pairs)
-            g = GraphSkeleton(v, edges)
-            cls = canonicalize(g, mode)
-            if cls.is_zero:
-                continue
-            seen.setdefault(cls.skeleton, cls.basis_class())
-        classes = list(seen.values())
-    else:
-        tables = _perm_tables(v)
-        arr = _labeled_universe(v, e, mode, tables)
-        arr = _valence_filter(arr, v, mode, tables, trivalent)
-        rows, zero = _bulk_survivors(arr, mode, tables)
-        for row, z in zip(rows, zero):
-            if z:
-                continue
-            if mode is SymmetryMode.LITERAL:
-                edges = tuple(tables.pairs[int(pid)] for pid in row)
-            else:
-                edges = _expand_multiplicities(row, tables.pairs)
-            classes.append(GraphClass(GraphSkeleton(v, edges), 1, mode))
-
+    tables = _perm_tables(v)
+    arr = _labeled_universe(v, e, mode, tables)
+    arr = _valence_filter(arr, v, mode, tables, trivalent)
+    rows, zero = _bulk_survivors(arr, mode, tables)
+    classes = [
+        GraphClass(_skeleton_from_row(v, row, mode, tables.pairs), 1, mode)
+        for row, z in zip(rows, zero)
+        if not z
+    ]
     if connected:
         classes = [c for c in classes if is_connected(c.skeleton)]
     classes.sort(key=GraphClass.sort_key)

@@ -8,7 +8,9 @@ of 1; everything here is exact integer bookkeeping, no coefficients.
 Structure constants are valence-3 tensors validated for full antisymmetry
 and for the Jacobi identity in the contracted form
 
-    sum_e (f[a,b,e] f[e,c,d] + f[c,b,e] f[a,e,d] + f[d,b,e] f[a,c,e]) = 0.
+    sum_e (f[a,b,e] f[e,c,d] - f[a,c,e] f[e,b,d] + f[a,d,e] f[e,b,c]) = 0
+
+(tensors.jacobi_violation, shared with the IHX check of decorated graphs).
 """
 
 from __future__ import annotations
@@ -17,15 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .errors import JacobiFailed, NotAntisymmetric, ShapeMismatch
-from .tensors import (
-    FLOAT_TOLERANCE,
-    EquivariantTensor,
-    eps_tensor,
-    make_tensor,
-)
+from .errors import JacobiFailed, ShapeMismatch
+from .tensors import EquivariantTensor, eps_tensor, jacobi_violation, make_tensor
 
 Spin = Fraction
 
@@ -122,36 +117,12 @@ class LieData:
 _BUILTIN_TABLES = {"su2": eps_tensor}
 
 
-def _first_nonzero_index(mask: np.ndarray) -> tuple[int, ...]:
-    flat = int(np.flatnonzero(mask.ravel())[0])
-    return tuple(int(i) + 1 for i in np.unravel_index(flat, mask.shape))
-
-
 def _validate_structure(f: EquivariantTensor, tolerance: float | None) -> None:
     if f.valence != 3:
         raise ShapeMismatch(f"structure constants must have valence 3, got {f.valence}")
-    arr = f.array
-    exact = f.kind.is_exact
-    tol = FLOAT_TOLERANCE if tolerance is None else tolerance
-    for k in range(1, 4):
-        for l in range(k + 1, 4):
-            swapped = np.swapaxes(arr, k - 1, l - 1)
-            if exact:
-                bad = np.vectorize(lambda a, b: a != -b, otypes=[bool])(swapped, arr)
-            else:
-                bad = np.abs(swapped + arr) > tol
-            if bad.any():
-                raise NotAntisymmetric((k, l), _first_nonzero_index(bad))
-    t1 = np.tensordot(arr, arr, axes=([2], [0]))
-    t2 = np.tensordot(arr, arr, axes=([2], [1])).transpose(2, 1, 0, 3)
-    t3 = np.tensordot(arr, arr, axes=([2], [2])).transpose(2, 1, 3, 0)
-    total = t1 + t2 + t3
-    if exact:
-        bad = np.vectorize(lambda x: x != 0, otypes=[bool])(total)
-    else:
-        bad = np.abs(total) > tol
-    if bad.any():
-        raise JacobiFailed(_first_nonzero_index(bad))
+    witness = jacobi_violation(f, tolerance)
+    if witness is not None:
+        raise JacobiFailed(witness)
 
 
 def lie_data(table, dim: int | None = None, tolerance: float | None = None) -> LieData:

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import FormatError, ShapeMismatch
+from .errors import FormatError, NotAntisymmetric, ShapeMismatch
 
 FLOAT_TOLERANCE = 1e-12
 
@@ -199,11 +199,26 @@ def _zero_of(kind: ScalarKind):
     return 0.0
 
 
-def scalar_is_zero(x, tolerance: float | None) -> bool:
-    if isinstance(x, (Fraction, int, Rad)) and tolerance is None:
-        return x == 0
-    tol = FLOAT_TOLERANCE if tolerance is None else tolerance
-    return abs(complex(x) if isinstance(x, complex) else float(x)) <= tol
+def _zeros(valence: int, dim: int, kind: ScalarKind) -> np.ndarray:
+    """A writable all-zero hypercube array holding the kind's zero."""
+    if kind.name == "float":
+        return np.zeros((dim,) * valence, dtype=float)
+    return np.full((dim,) * valence, _zero_of(kind), dtype=object)
+
+
+def nonzero_mask(arr: np.ndarray, exact: bool, tolerance: float | None = None) -> np.ndarray:
+    """Entries that are not zero: exactly, or beyond the tolerance (1e-12 by default)."""
+    if exact:
+        return arr != 0
+    return np.abs(arr) > (FLOAT_TOLERANCE if tolerance is None else tolerance)
+
+
+def _first_nonzero(arr: np.ndarray, exact: bool, tolerance: float | None = None) -> tuple[int, ...] | None:
+    """1-based multi-index of the first nonzero entry in row-major order, or None."""
+    hits = np.flatnonzero(nonzero_mask(arr, exact, tolerance))
+    if hits.size == 0:
+        return None
+    return tuple(int(i) + 1 for i in np.unravel_index(hits[0], arr.shape))
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,11 +311,7 @@ def make_tensor(values, kind: ScalarKind | None = None, label: str = "t") -> Equ
 
 
 def zero_tensor(valence: int, dim: int, kind: ScalarKind = RATIONAL, label: str = "zero") -> EquivariantTensor:
-    if kind.name == "float":
-        arr = np.zeros((dim,) * valence, dtype=float)
-    else:
-        arr = np.full((dim,) * valence, _zero_of(kind), dtype=object)
-    return EquivariantTensor(label, kind, arr)
+    return EquivariantTensor(label, kind, _zeros(valence, dim, kind))
 
 
 def pairing(t1: EquivariantTensor, t2: EquivariantTensor):
@@ -326,10 +337,7 @@ def direct_sum(t1: EquivariantTensor, t2: EquivariantTensor, label: str | None =
     kind = unify_kinds([t1.kind, t2.kind])
     v, m1, m2 = t1.valence, t1.dim, t2.dim
     m = m1 + m2
-    if kind.name == "float":
-        arr = np.zeros((m,) * v, dtype=float)
-    else:
-        arr = np.full((m,) * v, _zero_of(kind), dtype=object)
+    arr = _zeros(v, m, kind)
     block1 = tuple(slice(0, m1) for _ in range(v))
     block2 = tuple(slice(m1, m) for _ in range(v))
     if kind.name == "float":
@@ -349,7 +357,7 @@ def apply_generator(generator: np.ndarray, array: np.ndarray, slot: int) -> np.n
     return np.moveaxis(moved, 0, slot - 1)
 
 
-def _generator_arrays(generators, dim: int, exact: bool):
+def _generator_arrays(generators, dim: int):
     out = []
     all_exact = True
     for g in generators:
@@ -376,54 +384,62 @@ def check_equivariance(
     Exact when both the tensor and the generators are exact; otherwise
     evaluated in complex binary64 against an absolute tolerance.
     """
-    gens, gens_exact = _generator_arrays(generators, t.dim, exact=True)
+    gens, gens_exact = _generator_arrays(generators, t.dim)
     exact = t.kind.is_exact and gens_exact and tolerance is None
     if exact:
         arr = t.array
-        for g in gens:
-            gobj = np.empty(g.shape, dtype=object)
-            gobj.ravel()[:] = [Fraction(int(x)) if not isinstance(x, (Fraction, Rad)) else x for x in np.asarray(g, dtype=object).ravel()]
-            residual = sum(apply_generator(gobj, arr, s) for s in range(1, t.valence + 1))
-            if any(x != 0 for x in residual.ravel()):
-                return False
-        return True
-    tol = FLOAT_TOLERANCE if tolerance is None else tolerance
-    arr = np.asarray(
-        t.array if t.kind.name == "float" else np.vectorize(float, otypes=[float])(t.array),
-        dtype=complex,
-    )
+        gens = [
+            np.array(
+                [x if isinstance(x, (Fraction, Rad)) else Fraction(int(x)) for x in g.ravel()],
+                dtype=object,
+            ).reshape(g.shape)
+            for g in gens
+        ]
+    else:
+        arr = np.asarray(t.array, dtype=float)
+        gens = [np.asarray(g, dtype=complex) for g in gens]
     for g in gens:
-        gc = np.asarray(g, dtype=complex)
-        residual = sum(apply_generator(gc, arr, s) for s in range(1, t.valence + 1))
-        if np.abs(residual).max() > tol:
+        residual = sum(apply_generator(g, arr, s) for s in range(1, t.valence + 1))
+        if nonzero_mask(residual, exact, tolerance).any():
             return False
     return True
+
+
+def _swap_defect(t: EquivariantTensor, k: int, l: int, sign: int, tolerance: float | None):
+    """First index where swapping slots k, l fails to multiply t by sign, or None."""
+    swapped = np.swapaxes(t.array, k - 1, l - 1)
+    diff = swapped - t.array if sign == 1 else swapped + t.array
+    return _first_nonzero(diff, t.kind.is_exact, tolerance)
 
 
 def symmetry_profile(t: EquivariantTensor, tolerance: float | None = None) -> dict[tuple[int, int], int | None]:
     """For each slot transposition (k, l): +1, -1, or None (no symmetry)."""
     out: dict[tuple[int, int], int | None] = {}
-    arr = t.array
-    exact = t.kind.is_exact
-    tol = FLOAT_TOLERANCE if tolerance is None else tolerance
-    for k in range(1, t.valence + 1):
-        for l in range(k + 1, t.valence + 1):
-            swapped = np.swapaxes(arr, k - 1, l - 1)
-            if exact:
-                if bool(np.all(swapped == arr)):
-                    out[(k, l)] = 1
-                elif bool(np.all(swapped == -arr)):
-                    out[(k, l)] = -1
-                else:
-                    out[(k, l)] = None
-            else:
-                if np.abs(swapped - arr).max() <= tol:
-                    out[(k, l)] = 1
-                elif np.abs(swapped + arr).max() <= tol:
-                    out[(k, l)] = -1
-                else:
-                    out[(k, l)] = None
+    for k, l in itertools.combinations(range(1, t.valence + 1), 2):
+        if _swap_defect(t, k, l, 1, tolerance) is None:
+            out[(k, l)] = 1
+        elif _swap_defect(t, k, l, -1, tolerance) is None:
+            out[(k, l)] = -1
+        else:
+            out[(k, l)] = None
     return out
+
+
+def jacobi_violation(f: EquivariantTensor, tolerance: float | None = None) -> tuple[int, ...] | None:
+    """First (a, b, c, d) where a valence-3 tensor breaks the Jacobi identity, or None.
+
+    The tested identity is
+    sum_e f[a,b,e] f[e,c,d] - f[a,c,e] f[e,b,d] + f[a,d,e] f[e,b,c] = 0,
+    which presumes full antisymmetry: NotAntisymmetric is raised first, at
+    the first slot pair and index where swapping does not negate f.
+    """
+    for k, l in itertools.combinations(range(1, 4), 2):
+        witness = _swap_defect(f, k, l, -1, tolerance)
+        if witness is not None:
+            raise NotAntisymmetric((k, l), witness)
+    t1 = np.tensordot(f.array, f.array, axes=([2], [0]))
+    residual = t1 - t1.transpose(0, 2, 1, 3) + t1.transpose(0, 2, 3, 1)
+    return _first_nonzero(residual, f.kind.is_exact, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +533,7 @@ def parse_tensor(text: str, label: str = "t") -> EquivariantTensor:
         if idx in seen:
             raise FormatError(header, f"duplicate entry at index {idx}")
         seen.add(idx)
-    if kind.name == "float":
-        arr = np.zeros((dim,) * valence, dtype=float)
-    else:
-        arr = np.full((dim,) * valence, _zero_of(kind), dtype=object)
+    arr = _zeros(valence, dim, kind)
     for idx, value in entries:
         arr[tuple(i - 1 for i in idx)] = value
     return EquivariantTensor(label, kind, arr)

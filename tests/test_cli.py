@@ -357,3 +357,22 @@ def test_console_script_round_trip():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0:1 1:3 2:2 3:1\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    """``python -m graphcoh`` with the checkout's ``src`` first on PYTHONPATH."""
+    source_root = str(Path(graphcoh.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (source_root, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphcoh", "mult", "--spins", "1,1,1"],
+        capture_output=True,
+        text=True,
+        check=False,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0:1 1:3 2:2 3:1\n"

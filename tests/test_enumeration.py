@@ -1,8 +1,11 @@
 """Basis enumeration: oracle agreement, frozen counts, caps, determinism."""
 
+import itertools
+
 import pytest
 
 import oracles
+from graphcoh.canonical import canonicalize
 from graphcoh.enumeration import (
     DEFAULT_CAP,
     enumerate_by_counts,
@@ -11,7 +14,7 @@ from graphcoh.enumeration import (
     resolve_cap,
 )
 from graphcoh.errors import BasisTooLarge
-from graphcoh.graphs import SymmetryMode, grading, k4_graph, theta_graph
+from graphcoh.graphs import GraphSkeleton, SymmetryMode, grading, k4_graph, theta_graph
 
 MODES = (SymmetryMode.LITERAL, SymmetryMode.EDGE_RENUMBERING)
 
@@ -143,8 +146,8 @@ def test_class_count_above_cap_is_rejected():
 
 @pytest.mark.parametrize(
     "vertices, bound",
-    [(7, "2**62"), (9, "V <= 8")],
-    ids=["packed-key-width", "permutation-sweep"],
+    [(9, "V <= 8")],
+    ids=["permutation-sweep"],
 )
 def test_refusal_names_the_bound_it_hit(vertices, bound):
     with pytest.raises(BasisTooLarge) as info:
@@ -152,6 +155,23 @@ def test_refusal_names_the_bound_it_hit(vertices, bound):
     assert info.value.cap is None
     assert bound in str(info.value)
     assert "cap" not in str(info.value)
+
+
+@pytest.mark.parametrize("edges, count", [(4, 0), (5, 3)])
+def test_edge_renumbering_seven_vertex_cells_match_canonicalize(edges, count):
+    """Every nonzero class of a pair multiset touching all seven vertices."""
+    mode = SymmetryMode.EDGE_RENUMBERING
+    pairs = list(itertools.combinations(range(1, 8), 2))
+    expected = set()
+    for combo in itertools.combinations_with_replacement(pairs, edges):
+        if len({u for pair in combo for u in pair}) < 7:
+            continue
+        cls = canonicalize(GraphSkeleton(7, combo), mode)
+        if not cls.is_zero:
+            expected.add(cls.skeleton)
+    got = [cls.skeleton for cls in enumerate_by_counts(7, edges, mode=mode)]
+    assert len(got) == count
+    assert set(got) == expected
 
 
 def test_resolve_cap_precedence(monkeypatch):

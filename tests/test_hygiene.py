@@ -1,8 +1,10 @@
-"""Source hygiene: every name a package module imports is used in it.
+"""Source hygiene: no unused imports and no unreferenced definitions.
 
 No linter ships with the package, so this parses each module under
-src/graphcoh/ (the package __init__, which re-exports, is exempt) and
-fails on imported names that are never referenced.
+src/graphcoh/ and fails on imported names that are never referenced (the
+package __init__, which re-exports, is exempt), and on module-level
+functions, classes and constants that nothing in src/, tests/ or scripts/
+names outside their own definition (dunder names are exempt).
 """
 
 from __future__ import annotations
@@ -12,8 +14,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "graphcoh"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "graphcoh"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(
+    p for d in ("src", "tests", "scripts") for p in (ROOT / d).rglob("*.py")
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +44,64 @@ def test_unused_import_is_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def defined_names(statement: ast.stmt) -> list[str]:
+    """Module-level names a top-level statement defines (dunders excluded)."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, ast.Assign):
+        names = [n.id for t in statement.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        names = [statement.target.id]
+    else:
+        names = []
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    """Names read, attributes accessed and names imported anywhere under node."""
+    out: set[str] = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.split(".")[-1])
+    return out
+
+
+def unreferenced_definitions(module: Path, sources: list[Path]) -> list[str]:
+    """Definitions in module that no statement but their own names."""
+    defining = ast.parse(module.read_text()).body
+    own = [referenced_names(statement) for statement in defining]
+    elsewhere: set[str] = set()
+    for path in sources:
+        if path != module:
+            elsewhere |= referenced_names(ast.parse(path.read_text()))
+    return [
+        f"{name} (line {statement.lineno})"
+        for i, statement in enumerate(defining)
+        for name in defined_names(statement)
+        if name not in elsewhere and not any(name in refs for j, refs in enumerate(own) if j != i)
+    ]
+
+
+def test_unreferenced_definition_is_detected(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "LIMIT = 3\n__all__ = []\n\n\ndef used():\n    return LIMIT\n\n\n"
+        "def unused():\n    return unused\n\n\nclass Ghost:\n    pass\n"
+    )
+    caller = tmp_path / "caller.py"
+    caller.write_text("import mod\nmod.used()\n")
+    assert unreferenced_definitions(module, [module, caller]) == [
+        "unused (line 9)",
+        "Ghost (line 13)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_has_no_unreferenced_definitions(path):
+    assert unreferenced_definitions(path, SOURCES) == []

@@ -1,5 +1,6 @@
 """Scalar kinds, equivariant tensors, pairing, and the tensor text format."""
 
+import importlib.resources as resources
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from graphcoh.errors import FormatError, ShapeMismatch
+from graphcoh.decorated import ihx_violation
+from graphcoh.errors import FormatError, JacobiFailed, NotAntisymmetric, ShapeMismatch
+from graphcoh.reps import lie_data
 from graphcoh.tensors import (
     CATALOGUE,
     FLOAT,
@@ -282,6 +285,54 @@ def test_half_half_one_profile():
 def test_all_ones_profile_completely_symmetric():
     ones = make_tensor([[[1] * 2 for _ in range(2)] for _ in range(2)])
     assert symmetry_profile(ones) == {(1, 2): 1, (1, 3): 1, (2, 3): 1}
+
+
+# ---------------------------------------------------------------------------
+# Shared antisymmetry and Jacobi checks, exact and float.
+# ---------------------------------------------------------------------------
+
+
+def _perturbed_jacobi():
+    text = resources.files("graphcoh").joinpath("data/perturbed_jacobi.txt").read_text()
+    return parse_tensor(text, label="perturbed")
+
+
+def _verdicts(t):
+    """symmetry_profile, ihx_violation and lie_data, failures as (error, slots, index)."""
+
+    def outcome(check):
+        try:
+            return check(t)
+        except (NotAntisymmetric, JacobiFailed) as exc:
+            return type(exc).__name__, getattr(exc, "slots", None), exc.index
+
+    return (
+        symmetry_profile(t),
+        outcome(ihx_violation),
+        outcome(lambda x: lie_data(x).dimension),
+    )
+
+
+@pytest.mark.parametrize(
+    "make, lie",
+    [
+        (eps_tensor, 3),
+        (half_half_one_tensor, ("NotAntisymmetric", (1, 2), (1, 1, 3))),
+        (
+            lambda: make_tensor([[[1] * 2 for _ in range(2)] for _ in range(2)]),
+            ("NotAntisymmetric", (1, 2), (1, 1, 1)),
+        ),
+        (_perturbed_jacobi, ("JacobiFailed", None, (2, 3, 4, 5))),
+    ],
+    ids=["eps", "half-half-one", "all-ones", "perturbed-jacobi"],
+)
+def test_float_copies_reach_the_exact_verdicts(make, lie):
+    exact = make()
+    floating = make_tensor(np.asarray(exact.array, dtype=float), kind=FLOAT)
+    assert floating.kind == FLOAT
+    verdicts = _verdicts(exact)
+    assert verdicts[2] == lie
+    assert _verdicts(floating) == verdicts
 
 
 # ---------------------------------------------------------------------------
