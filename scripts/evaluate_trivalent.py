@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
+from graphcoh.cli import load_tensor
 from graphcoh.decorated import (
     DecoratedChain,
     decorate_uniform,
@@ -24,7 +24,7 @@ from graphcoh.decorated import (
 )
 from graphcoh.enumeration import enumerate_trivalent
 from graphcoh.graphs import SymmetryMode
-from graphcoh.tensors import CATALOGUE, catalogue_tensor, parse_tensor
+from graphcoh.tensors import CATALOGUE
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,6 @@ class EvalConfig:
     mode: SymmetryMode = SymmetryMode.LITERAL
     connected: bool = True
     tolerance: float | None = None
-
-
-def load_tensor(ref: str):
-    if ref in CATALOGUE:
-        return catalogue_tensor(ref)
-    return parse_tensor(Path(ref).read_text(), label=Path(ref).stem)
 
 
 def run(config: EvalConfig) -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import EMPTY_GRAPH, GraphSkeleton, SymmetryMode, grading
+from .graphs import EMPTY_GRAPH, GraphSkeleton, SymmetryMode, grading, permutation_parity
 
 _LARGE_FACTORIAL_GUARD = 8  # exhaustive search is meant for V <= 8
 
@@ -70,15 +70,7 @@ class _PermTables:
         perm_list = list(itertools.permutations(range(1, v + 1)))
         g = len(perm_list)
         self.perms = perm_list  # lex order, identity first
-        parity = np.empty(g, dtype=np.int8)
-        for i, perm in enumerate(perm_list):
-            inv = 0
-            for a in range(v):
-                for b in range(a + 1, v):
-                    if perm[a] > perm[b]:
-                        inv += 1
-            parity[i] = 1 if inv % 2 == 0 else -1
-        self.parity = parity
+        self.parity = np.array([permutation_parity(perm) for perm in perm_list], dtype=np.int8)
         pairs = [(u, w) for u in range(1, v + 1) for w in range(u + 1, v + 1)]
         self.pairs = pairs
         self.pair_id = {p: i for i, p in enumerate(pairs)}

@@ -526,29 +526,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, order=False, degree=False):
-        p.add_argument("--mode", choices=[m.value for m in SymmetryMode], default=None,
-                       help="symmetry mode (default literal)")
-        p.add_argument("--cap", type=int, default=None, help="basis size cap")
-        p.add_argument("--tol", type=float, default=None, help="floating tolerance")
+    def common(p, *, mode=False, cap=False, tol=False, grading=False):
+        """--out and --json, plus the options the subcommand reads."""
+        if mode:
+            p.add_argument("--mode", choices=[m.value for m in SymmetryMode], default=None,
+                           help="symmetry mode (default literal)")
+        if cap:
+            p.add_argument("--cap", type=int, default=None, help="basis size cap")
+        if tol:
+            p.add_argument("--tol", type=float, default=None, help="floating tolerance")
         p.add_argument("--out", default=None, help="write the report to this file")
         p.add_argument("--json", dest="json_out", default=None,
                        help="also write a JSON mirror of the report")
-        if order:
+        if grading:
             p.add_argument("--order", type=int, required=True, help="order (edges minus vertices)")
-        if degree:
             p.add_argument("--degree", type=int, default=0,
                            help="degree (2E - 3V; default 0)")
             p.add_argument("--connected", action="store_true", help="connected classes only")
 
-    p = sub.add_parser("enumerate", help="list basis classes at a grading")
-    common(p, order=True, degree=True)
-
-    p = sub.add_parser("delta", help="sparse coboundary matrix at a grading")
-    common(p, order=True, degree=True)
-
-    p = sub.add_parser("cocycles", help="kernel basis of the coboundary at a grading")
-    common(p, order=True, degree=True)
+    for name, text in (
+        ("enumerate", "list basis classes at a grading"),
+        ("delta", "sparse coboundary matrix at a grading"),
+        ("cocycles", "kernel basis of the coboundary at a grading"),
+    ):
+        common(sub.add_parser(name, help=text), mode=True, cap=True, grading=True)
 
     p = sub.add_parser("mult", help="Clebsch-Gordan multiplicities")
     common(p)
@@ -563,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="catalogue name or tensor file (give twice)")
 
     p = sub.add_parser("eval", help="evaluate decorated graphs from files")
-    common(p)
+    common(p, mode=True)
     p.add_argument("--in", dest="inputs", action="append", default=[],
                    help="graph file (repeatable)")
     p.add_argument("--tensor", action="append", default=[],
@@ -571,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "repeat for per-vertex tensors")
 
     p = sub.add_parser("check", help="run a named validation suite")
-    common(p)
+    common(p, mode=True, cap=True, tol=True)
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--order", "--max-order", dest="order", type=int, default=None,
                    help="order bound for the delta2 sweep (default 3)")
@@ -579,15 +580,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    mode = SymmetryMode.parse(args.mode) if args.mode else SymmetryMode.LITERAL
-    config = RunConfig(
+    mode_arg = getattr(args, "mode", None)
+    return RunConfig(
         command=args.command,
-        mode=mode,
+        mode=SymmetryMode.parse(mode_arg) if mode_arg else SymmetryMode.LITERAL,
         order=getattr(args, "order", None),
         degree=getattr(args, "degree", 0),
         connected=getattr(args, "connected", False),
-        cap=args.cap,
-        tolerance=args.tol,
+        cap=getattr(args, "cap", None),
+        tolerance=getattr(args, "tol", None),
         inputs=tuple(getattr(args, "inputs", ()) or ()),
         tensors=tuple(getattr(args, "tensor", ()) or ()),
         spins=getattr(args, "spins", None),
@@ -595,9 +596,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         suite=getattr(args, "suite", None),
         out=args.out,
         json_out=args.json_out,
-        mode_explicit=args.mode is not None,
+        mode_explicit=mode_arg is not None,
     )
-    return config
 
 
 COMMANDS = {

@@ -47,17 +47,23 @@ from .graphs import GraphSkeleton, SymmetryMode, grading, regular_edges
 from .tensors import (
     EquivariantTensor,
     ScalarKind,
+    _lift,
     jacobi_violation,
     nonzero_mask,
     unify_kinds,
 )
 
 
-def _common_kind(kinds: Iterable[ScalarKind]) -> ScalarKind:
-    kinds = list(kinds)
+def _common_kind(kinds: Iterable[ScalarKind], tolerance: float | None = None) -> ScalarKind:
+    """The smallest kind holding every input kind (see unify_kinds).
+
+    Exact inputs may be pushed into float only when a tolerance is given;
+    otherwise that raises MixedScalarKinds.
+    """
+    kinds = set(kinds)
     unified = unify_kinds(kinds)
-    if unified.name == "float" and any(k.is_exact for k in kinds):
-        raise MixedScalarKinds(sorted(str(k) for k in set(kinds)))
+    if unified.name == "float" and tolerance is None and any(k.is_exact for k in kinds):
+        raise MixedScalarKinds(sorted(str(k) for k in kinds))
     return unified
 
 
@@ -146,12 +152,6 @@ class DecoratedChain:
         return f"DecoratedChain({len(self._terms)} terms)"
 
 
-def _arrays_for(g: DecoratedGraph):
-    if g.kind.name == "float":
-        return [np.asarray(t.array, dtype=float) for t in g.decorations]
-    return [t.array for t in g.decorations]
-
-
 def evaluate(g: DecoratedGraph):
     """Full contraction of all edges with the orthonormal pairing.
 
@@ -161,7 +161,8 @@ def evaluate(g: DecoratedGraph):
     """
     if g.skeleton.vertex_count == 0:
         return Fraction(1)
-    arrays = _arrays_for(g)
+    kind = g.kind
+    arrays = [_lift(t, kind) for t in g.decorations]
     result = arrays[0]
     open_slots: list[int] = list(g.skeleton.incident_edges(1))
     for v in range(2, g.skeleton.vertex_count + 1):
@@ -176,7 +177,7 @@ def evaluate(g: DecoratedGraph):
         ]
     assert not open_slots, "every edge must be contracted exactly once"
     value = result.item() if isinstance(result, np.ndarray) else result
-    return float(value) if g.kind.name == "float" else value
+    return value if kind.is_exact else float(value)
 
 
 def contract_decoration(
@@ -202,12 +203,7 @@ def contract_decoration(
             "tensors' only slots); scalars are not decorations"
         )
     kind = unify_kinds([rho_i.kind, rho_j.kind])
-    if kind.name == "float":
-        a = np.asarray(rho_i.array, dtype=float)
-        b = np.asarray(rho_j.array, dtype=float)
-    else:
-        a, b = rho_i.array, rho_j.array
-    out = np.tensordot(a, b, axes=([k - 1], [l - 1]))
+    out = np.tensordot(_lift(rho_i, kind), _lift(rho_j, kind), axes=([k - 1], [l - 1]))
     return EquivariantTensor(f"{rho_i.label}.{rho_j.label}", kind, out)
 
 
@@ -265,11 +261,8 @@ def is_cocycle_decorated(c: DecoratedChain, tolerance: float | None = None) -> b
     """
     if c.is_empty:
         return True
-    kinds = {g.kind for _, g in c}
-    unified = unify_kinds(kinds)
-    if unified.name == "float" and tolerance is None and any(k.is_exact for k in kinds):
-        raise MixedScalarKinds(sorted(str(k) for k in kinds))
-    exact = unified.is_exact
+    kind = _common_kind((g.kind for _, g in c), tolerance)
+    exact = kind.is_exact
     groups: dict[GraphSkeleton, list[tuple[Fraction, DecoratedGraph]]] = {}
     for coeff, g in c:
         for sign, h in delta_decorated(g):
@@ -285,10 +278,7 @@ def is_cocycle_decorated(c: DecoratedChain, tolerance: float | None = None) -> b
             raise ShapeMismatch(f"skeleton group mixes dimensions {sorted(dims)}")
         total = None
         for coeff, g in members:
-            arrays = _arrays_for(g) if exact else [
-                np.asarray(t.array, dtype=float) for t in g.decorations
-            ]
-            big = _big_tensor(arrays)
+            big = _big_tensor([_lift(t, kind) for t in g.decorations])
             big = big * (coeff if exact else float(coeff))
             total = big if total is None else total + big
         if nonzero_mask(total, exact, tolerance).any():

@@ -26,7 +26,7 @@ import os
 
 import numpy as np
 
-from .canonical import GraphClass, _perm_tables, _skeleton_from_row
+from .canonical import _LARGE_FACTORIAL_GUARD, GraphClass, _perm_tables, _skeleton_from_row
 from .errors import BasisTooLarge
 from .graphs import SymmetryMode, counts_for_grading, is_connected
 
@@ -56,14 +56,18 @@ def _universe_size(v: int, e: int, mode: SymmetryMode) -> int:
 
 @functools.lru_cache(maxsize=2048)
 def _compositions(total: int, parts: int) -> np.ndarray:
-    """All ways to write `total` as an ordered sum of `parts` naturals."""
+    """All ways to write `total` as an ordered sum of `parts` naturals.
+
+    The entries take the least unsigned dtype holding `total` (uint8 up to 255).
+    """
+    dtype = np.min_scalar_type(total)
     if parts == 1:
-        out = np.array([[total]], dtype=np.uint8)
+        out = np.array([[total]], dtype=dtype)
     else:
         blocks = []
         for first in range(total + 1):
             rest = _compositions(total - first, parts - 1)
-            col = np.full((rest.shape[0], 1), first, np.uint8)
+            col = np.full((rest.shape[0], 1), first, dtype)
             blocks.append(np.hstack([col, rest]))
         out = np.vstack(blocks)
     out.flags.writeable = False
@@ -80,7 +84,7 @@ def _labeled_universe(v: int, e: int, mode: SymmetryMode, tables) -> np.ndarray:
         for col in range(e):
             arr[:, col] = (base // p ** (e - 1 - col)) % p
         return arr
-    return np.array(_compositions(e, p), dtype=np.uint8)
+    return np.array(_compositions(e, p))
 
 
 def _valence_filter(arr: np.ndarray, v: int, mode: SymmetryMode, tables, trivalent: bool) -> np.ndarray:
@@ -174,10 +178,10 @@ def enumerate_by_counts(
         raise BasisTooLarge(
             f"labeled universe at V={v}, E={e} has {universe} candidates", cap
         )
-    if v > 8:
+    if v > _LARGE_FACTORIAL_GUARD:
         raise BasisTooLarge(
             f"V={v} needs a {math.factorial(v)}-permutation sweep per candidate, "
-            "past the exhaustive-search bound (V <= 8)"
+            f"past the exhaustive-search bound (V <= {_LARGE_FACTORIAL_GUARD})"
         )
 
     tables = _perm_tables(v)

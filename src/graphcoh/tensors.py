@@ -12,7 +12,9 @@ Combining kinds follows the obvious lattice: rational mixes with radical d
 to give radical d; distinct radicands or any float force float.  When a
 caller demands an exact verdict but the kinds force float, that is an
 error (:class:`~graphcoh.errors.MixedScalarKinds`), raised by the
-consumers of :func:`unify_kinds`.
+consumers of :func:`unify_kinds`.  Every consumer moves entries into the
+combined kind through one conversion, ``_as_kind`` (``_lift`` for a
+tensor, which leaves a tensor already of that kind untouched).
 
 A tensor's slots are numbered 1..valence, matching the half-edge order of
 decorated graphs.  Generators act slotwise by ``out[i,...] = sum_a G[i,a]
@@ -35,6 +37,14 @@ from .errors import FormatError, NotAntisymmetric, ShapeMismatch
 FLOAT_TOLERANCE = 1e-12
 
 
+def _radicand(d) -> int:
+    """d as an int, provided it is a non-square integer >= 2."""
+    d = int(d)
+    if d < 2 or math.isqrt(d) ** 2 == d:
+        raise ValueError(f"radicand must be a non-square integer >= 2, got {d}")
+    return d
+
+
 class Rad:
     """Number of the form a + b*sqrt(d) with rational a, b and fixed d.
 
@@ -47,12 +57,9 @@ class Rad:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b, d: int):
-        d = int(d)
-        if d < 2 or math.isqrt(d) ** 2 == d:
-            raise ValueError(f"radicand must be a non-square integer >= 2, got {d}")
         self.a = Fraction(a)
         self.b = Fraction(b)
-        self.d = d
+        self.d = _radicand(d)
 
     def _align(self, other) -> "tuple[Rad, Rad] | None":
         """Bring both operands into one radicand's ring, if possible.
@@ -171,10 +178,7 @@ FLOAT = ScalarKind("float")
 
 
 def radical(d: int) -> ScalarKind:
-    d = int(d)
-    if d < 2 or math.isqrt(d) ** 2 == d:
-        raise ValueError(f"radicand must be a non-square integer >= 2, got {d}")
-    return ScalarKind("radical", d)
+    return ScalarKind("radical", _radicand(d))
 
 
 def unify_kinds(kinds: Iterable[ScalarKind]) -> ScalarKind:
@@ -191,19 +195,36 @@ def unify_kinds(kinds: Iterable[ScalarKind]) -> ScalarKind:
     return out
 
 
-def _zero_of(kind: ScalarKind):
+def _as_kind(arr, kind: ScalarKind) -> np.ndarray:
+    """A new array of arr's entries as the kind's scalars: floats, or an
+    object array of Fractions or of Rads carrying the kind's radicand."""
+    if kind.name == "float":
+        return np.array(arr, dtype=float)
     if kind.name == "rational":
-        return Fraction(0)
-    if kind.name == "radical":
-        return Rad(0, 0, kind.radicand)
-    return 0.0
+        convert = Fraction
+    else:
+        d = kind.radicand
+
+        def convert(x):
+            if not isinstance(x, Rad):
+                return Rad(x, 0, d)
+            if x.b != 0 and x.d != d:
+                raise ValueError(f"entry radicand {x.d} does not match declared {d}")
+            return Rad(x.a, x.b, d)
+
+    out = np.empty(np.shape(arr), dtype=object)
+    out.ravel()[:] = [convert(x) for x in np.ravel(arr).tolist()]
+    return out
+
+
+def _lift(t: EquivariantTensor, kind: ScalarKind) -> np.ndarray:
+    """t's entries in a kind containing t.kind: t.array itself when the kinds agree."""
+    return t.array if t.kind == kind else _as_kind(t.array, kind)
 
 
 def _zeros(valence: int, dim: int, kind: ScalarKind) -> np.ndarray:
     """A writable all-zero hypercube array holding the kind's zero."""
-    if kind.name == "float":
-        return np.zeros((dim,) * valence, dtype=float)
-    return np.full((dim,) * valence, _zero_of(kind), dtype=object)
+    return _as_kind(np.zeros((dim,) * valence, dtype=object), kind)
 
 
 def nonzero_mask(arr: np.ndarray, exact: bool, tolerance: float | None = None) -> np.ndarray:
@@ -264,22 +285,10 @@ class EquivariantTensor:
         )
 
     def __hash__(self):
-        return hash((self.kind, self.array.shape, self.array.tobytes() if self.array.dtype != object else id(self)))
+        return hash((self.kind, self.array.shape, tuple(self.array.ravel().tolist())))
 
     def __repr__(self):
         return f"EquivariantTensor({self.label!r}, valence {self.valence}, dim {self.dim}, {self.kind})"
-
-
-def _normalize_entry(x, kind: ScalarKind):
-    if kind.name == "rational":
-        return Fraction(x)
-    if kind.name == "radical":
-        if isinstance(x, Rad):
-            if x.b != 0 and x.d != kind.radicand:
-                raise ValueError(f"entry radicand {x.d} does not match declared {kind.radicand}")
-            return Rad(x.a, x.b, kind.radicand)
-        return Rad(Fraction(x), 0, kind.radicand)
-    return float(x)
 
 
 def _infer_kind(values) -> ScalarKind:
@@ -299,15 +308,9 @@ def _infer_kind(values) -> ScalarKind:
 def make_tensor(values, kind: ScalarKind | None = None, label: str = "t") -> EquivariantTensor:
     """Build a tensor from nested sequences (or an ndarray), inferring the kind."""
     arr = np.asarray(values, dtype=object)
-    flat = list(arr.ravel())
     if kind is None:
-        kind = _infer_kind(flat)
-    if kind.name == "float":
-        out = np.asarray(values, dtype=float)
-    else:
-        out = np.empty(arr.shape, dtype=object)
-        out.ravel()[:] = [_normalize_entry(x, kind) for x in flat]
-    return EquivariantTensor(label, kind, out)
+        kind = _infer_kind(arr.ravel())
+    return EquivariantTensor(label, kind, _as_kind(arr, kind))
 
 
 def zero_tensor(valence: int, dim: int, kind: ScalarKind = RATIONAL, label: str = "zero") -> EquivariantTensor:
@@ -322,12 +325,8 @@ def pairing(t1: EquivariantTensor, t2: EquivariantTensor):
             f" vs valence {t2.valence} dim {t2.dim}"
         )
     kind = unify_kinds([t1.kind, t2.kind])
-    if kind.name == "float":
-        return float(np.sum(np.asarray(t1.array, dtype=float) * np.asarray(t2.array, dtype=float)))
-    total = _zero_of(kind)
-    for a, b in zip(t1.array.ravel(), t2.array.ravel()):
-        total = total + a * b
-    return total
+    total = np.sum(_lift(t1, kind) * _lift(t2, kind))
+    return total if kind.is_exact else float(total)
 
 
 def direct_sum(t1: EquivariantTensor, t2: EquivariantTensor, label: str | None = None) -> EquivariantTensor:
@@ -335,19 +334,10 @@ def direct_sum(t1: EquivariantTensor, t2: EquivariantTensor, label: str | None =
     if t1.valence != t2.valence:
         raise ShapeMismatch(f"direct sum needs equal valences, got {t1.valence} vs {t2.valence}")
     kind = unify_kinds([t1.kind, t2.kind])
-    v, m1, m2 = t1.valence, t1.dim, t2.dim
-    m = m1 + m2
+    v, m1, m = t1.valence, t1.dim, t1.dim + t2.dim
     arr = _zeros(v, m, kind)
-    block1 = tuple(slice(0, m1) for _ in range(v))
-    block2 = tuple(slice(m1, m) for _ in range(v))
-    if kind.name == "float":
-        arr[block1] = np.asarray(t1.array, dtype=float)
-        arr[block2] = np.asarray(t2.array, dtype=float)
-    else:
-        for idx in itertools.product(range(m1), repeat=v):
-            arr[idx] = _normalize_entry(t1.array[idx], kind)
-        for idx in itertools.product(range(m2), repeat=v):
-            arr[tuple(i + m1 for i in idx)] = _normalize_entry(t2.array[idx], kind)
+    arr[(slice(0, m1),) * v] = _lift(t1, kind)
+    arr[(slice(m1, m),) * v] = _lift(t2, kind)
     return EquivariantTensor(label or f"{t1.label}+{t2.label}", kind, arr)
 
 
@@ -396,7 +386,7 @@ def check_equivariance(
             for g in gens
         ]
     else:
-        arr = np.asarray(t.array, dtype=float)
+        arr = _lift(t, FLOAT)
         gens = [np.asarray(g, dtype=complex) for g in gens]
     for g in gens:
         residual = sum(apply_generator(g, arr, s) for s in range(1, t.valence + 1))
@@ -484,7 +474,7 @@ def format_tensor(t: EquivariantTensor) -> str:
     lines = [f"valence {t.valence} dim {t.dim} kind {t.kind}"]
     for idx in itertools.product(range(t.dim), repeat=t.valence):
         x = t.array[idx]
-        if (x == 0) if t.kind.is_exact else (x == 0.0):
+        if x == 0:
             continue
         pos = " ".join(str(i + 1) for i in idx)
         lines.append(f"{pos} {format_scalar(x, t.kind)}")

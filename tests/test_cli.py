@@ -317,6 +317,30 @@ def test_usage_errors_exit_two(capsys):
         capsys.readouterr()
 
 
+SUBCOMMAND_ARGV = {
+    "enumerate": ["enumerate", "--order", "1"],
+    "delta": ["delta", "--order", "1"],
+    "cocycles": ["cocycles", "--order", "1"],
+    "mult": ["mult", "--spins", "1"],
+    "pairing": ["pairing", "--tensor", "eps", "--tensor", "eps"],
+    "eval": ["eval", "--in", "graphs.txt", "--tensor", "eps"],
+}
+FLAG_VALUES = {"--tol": "1e-9", "--cap": "10", "--mode": "literal"}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, "--tol") for c in ("enumerate", "delta", "cocycles", "mult", "pairing", "eval")]
+    + [(c, "--cap") for c in ("mult", "pairing", "eval")]
+    + [(c, "--mode") for c in ("mult", "pairing")],
+)
+def test_flags_a_subcommand_ignores_are_refused(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(SUBCOMMAND_ARGV[command] + [flag, FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Declared entry point.
 # ---------------------------------------------------------------------------

@@ -40,10 +40,15 @@ from graphcoh.graphs import (
     theta_graph,
 )
 from graphcoh.tensors import (
+    FLOAT,
+    RATIONAL,
+    Rad,
     direct_sum,
     eps_tensor,
     make_tensor,
+    pairing,
     parse_tensor,
+    radical,
     zero_tensor,
 )
 from test_graphs import permutations_of, skeletons
@@ -223,6 +228,65 @@ def test_contract_decoration_errors():
         contract_decoration(EPS, EPS, 1, 0)
     with pytest.raises(ShapeMismatch):
         contract_decoration(make_tensor([1, 2]), make_tensor([3, 4]), 1, 1)
+
+
+# One valence-3, dimension-2 tensor per scalar kind, entries indexed 0-based.
+KIND_ENTRIES = {
+    "rational": (RATIONAL, lambda i, j, k: Fraction(i + 2 * j - 3 * k, 1 + k)),
+    "radical 5": (radical(5), lambda i, j, k: Rad(i - j, k + 1 - i, 5)),
+    "radical 7": (radical(7), lambda i, j, k: Rad(j - k, i + 1, 7)),
+    "float": (FLOAT, lambda i, j, k: (i - 2 * j + k) / 4 + 0.1),
+}
+
+
+@pytest.mark.parametrize(
+    "first, second, unified",
+    [
+        ("rational", "radical 5", "radical 5"),
+        ("rational", "float", "float"),
+        ("radical 5", "radical 7", "float"),
+    ],
+)
+def test_mixed_kinds_lift_to_the_unified_kind(first, second, unified):
+    """pairing, direct_sum and contract_decoration of two kinds: the result
+    has the unified kind, and its values are those of explicit loops."""
+    kind = KIND_ENTRIES[unified][0]
+    scalar = Rad if kind.name == "radical" else float
+
+    def tensor(name):
+        own, entry = KIND_ENTRIES[name]
+        values = [[[entry(i, j, k) for k in range(2)] for j in range(2)] for i in range(2)]
+        return make_tensor(values, kind=own, label=name)
+
+    def value(name, idx):
+        x = KIND_ENTRIES[name][1](*idx)
+        return x if kind.is_exact else float(x)
+
+    def check(got, want):
+        assert isinstance(got, scalar)
+        assert got == (want if kind.is_exact else pytest.approx(want))
+
+    t1, t2 = tensor(first), tensor(second)
+    check(pairing(t1, t2), sum(value(first, i) * value(second, i)
+                               for i in itertools.product(range(2), repeat=3)))
+
+    block = direct_sum(t1, t2)
+    assert block.kind == kind
+    for idx in itertools.product(range(4), repeat=3):
+        if max(idx) < 2:
+            want = value(first, idx)
+        elif min(idx) >= 2:
+            want = value(second, tuple(i - 2 for i in idx))
+        else:
+            want = 0
+        check(block.array[idx], want)
+
+    # slot 2 of t1 against slot 3 of t2: out[i, j, p, q] = sum_a t1[i, a, j] t2[p, q, a]
+    merged = contract_decoration(t1, t2, 2, 3)
+    assert merged.kind == kind
+    for i, j, p, q in itertools.product(range(2), repeat=4):
+        want = sum(value(first, (i, a, j)) * value(second, (p, q, a)) for a in range(2))
+        check(merged.array[i, j, p, q], want)
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,14 @@ def test_edge_renumbering_seven_vertex_cells_match_canonicalize(edges, count):
     assert set(got) == expected
 
 
+@pytest.mark.parametrize("edges, count", [(255, 1), (256, 0), (257, 1)])
+def test_edge_multiplicities_past_255_enumerate(edges, count):
+    """E parallel edges on two vertices: the vertex swap reverses every edge,
+    with sign -(-1)^E, so the class is zero exactly when E is even."""
+    classes = enumerate_by_counts(2, edges, mode=SymmetryMode.EDGE_RENUMBERING)
+    assert [c.skeleton for c in classes] == [GraphSkeleton(2, ((1, 2),) * edges)] * count
+
+
 def test_resolve_cap_precedence(monkeypatch):
     monkeypatch.delenv("GRAPHCOH_CAP", raising=False)
     assert resolve_cap() == DEFAULT_CAP

@@ -9,8 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from graphcoh.decorated import ihx_violation
+from graphcoh.decorated import decorate_uniform, ihx_violation
 from graphcoh.errors import FormatError, JacobiFailed, NotAntisymmetric, ShapeMismatch
+from graphcoh.graphs import theta_graph
 from graphcoh.reps import lie_data
 from graphcoh.tensors import (
     CATALOGUE,
@@ -199,6 +200,21 @@ def test_pairing_worked_examples():
     blocks = direct_sum(eps_tensor(), eps_tensor())
     assert pairing(blocks, blocks) == 12
     assert pairing(half_half_one_tensor(), half_half_one_tensor()) == 6
+
+
+def test_equal_tensors_hash_equal():
+    """Equal exact tensors, float tensors that differ only in the sign of a
+    zero, and the decorated graphs they label all hash equal."""
+    assert eps_tensor() == eps_tensor()
+    assert len({eps_tensor(), eps_tensor()}) == 1
+    plus = make_tensor([[0.0, 1.5], [-1.5, 0.0]])
+    minus = make_tensor([[-0.0, 1.5], [-1.5, -0.0]])
+    assert plus == minus
+    assert hash(plus) == hash(minus)
+    a = decorate_uniform(theta_graph(), eps_tensor())
+    b = decorate_uniform(theta_graph(), eps_tensor())
+    assert a == b
+    assert hash(a) == hash(b)
 
 
 def test_pairing_shape_mismatch():
