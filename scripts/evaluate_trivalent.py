@@ -12,6 +12,7 @@ Example:
 from __future__ import annotations
 
 import argparse
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from graphcoh.decorated import (
     is_cocycle_decorated,
 )
 from graphcoh.enumeration import enumerate_trivalent
+from graphcoh.errors import GraphCohError
 from graphcoh.graphs import SymmetryMode
 from graphcoh.tensors import CATALOGUE
 
@@ -78,7 +80,11 @@ def main(argv=None) -> int:
         connected=not args.all_components,
         tolerance=args.tol,
     )
-    run(config)
+    try:
+        run(config)
+    except (GraphCohError, OSError, ValueError) as exc:
+        print(f"evaluate_trivalent: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -18,11 +18,21 @@ graph with valence-1 endpoints would leave a valence-0 vertex; that is
 rejected rather than given an ad-hoc scalar meaning.
 
 is_cocycle_decorated groups the termwise coboundary by canonical skeleton
-(literal symmetry mode, since decorations are tied to edge numbers),
+(literal symmetry mode, since decorations are tied to edge numbers) and
 transports every term onto the group's representative with the witness
-permutation and its sign, and tests whether each group's sum of full
-vertex-tensor outer products vanishes — exactly for exact scalar kinds,
-within a tolerance for floating ones.
+permutation and its sign.  A group closes when its total
+sum_k c_k (x)_v T_kv, a tensor of dim^(sum of valences) entries, is zero.
+For exact kinds that is decided without forming the total, by the Gram
+identity
+
+    |sum_k c_k (x)_v T_kv|^2 = sum_{k,l} c_k c_l prod_v <T_kv, T_lv>,
+
+one full pairing per vertex and pair of members.  Rational and radical
+scalars are real (sqrt(d) > 0) and the pairing is orthonormal, so the
+left side is a sum of squares of real numbers and vanishes exactly when
+the total does.  Floating kinds keep the entrywise test of the total
+against a tolerance: rounding in a float sum of squares is far coarser
+than the entrywise tolerance.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ from .tensors import (
     _lift,
     jacobi_violation,
     nonzero_mask,
+    pairing,
     unify_kinds,
 )
 
@@ -245,24 +256,63 @@ def delta_decorated(g: DecoratedGraph) -> DecoratedChain:
     return DecoratedChain(terms)
 
 
-def _big_tensor(decorations: Sequence[np.ndarray]) -> np.ndarray:
-    return functools.reduce(lambda a, b: np.tensordot(a, b, axes=0), decorations)
+def _gram_norm(members: Sequence[tuple[Fraction, DecoratedGraph]]):
+    """Squared norm of the group total sum_k c_k (x)_v T_kv, exactly.
+
+    Equals sum_{k,l} c_k c_l prod_v <T_kv, T_lv>; each pair k < l is
+    taken once and doubled, and a product stops at its first zero factor.
+    """
+    total = Fraction(0)
+    for k, (ck, gk) in enumerate(members):
+        for l in range(k, len(members)):
+            cl, gl = members[l]
+            term = ck * cl * (1 if k == l else 2)
+            for a, b in zip(gk.decorations, gl.decorations):
+                term = term * pairing(a, b)
+                if term == 0:
+                    break
+            total = total + term
+    return total
+
+
+def _outer_sum(members: Sequence[tuple[Fraction, DecoratedGraph]], kind: ScalarKind) -> np.ndarray:
+    """The group total sum_k c_k (x)_v T_kv as one float array of every entry."""
+    total = None
+    for coeff, g in members:
+        big = functools.reduce(
+            lambda a, b: np.tensordot(a, b, axes=0), [_lift(t, kind) for t in g.decorations]
+        )
+        big = big * float(coeff)
+        total = big if total is None else total + big
+    return total
 
 
 def is_cocycle_decorated(c: DecoratedChain, tolerance: float | None = None) -> bool:
     """True iff delta of the chain vanishes group-by-group.
 
     Terms of the termwise coboundary are transported onto canonical
-    skeletons (literal mode — decorations are tied to edge numbers) and
-    each skeleton group's signed sum of vertex-tensor outer products is
-    tested against zero.  Exact scalar kinds are compared exactly;
-    floating ones against the tolerance (default 1e-12).  Mixing exact and
-    floating kinds without an explicit tolerance is an error.
+    skeletons (literal mode — decorations are tied to edge numbers), so
+    all members of a group share one skeleton and each vertex carries
+    tensors of one valence.  A group's total is sum_k c_k (x)_v T_kv.
+
+    Exact kinds (rational, radical d) test the total's squared norm
+    sum_{k,l} c_k c_l prod_v <T_kv, T_lv> against zero, one full pairing
+    per vertex and pair of members (the Gram identity).  The pairing is
+    orthonormal and a + b*sqrt(d) is real with sqrt(d) > 0, so the
+    squared norm is a sum of squares of real entries: it is zero exactly
+    when every entry of the total is, and no outer product is formed.
+
+    Floating kinds (and exact kinds mixed with them, which need an
+    explicit tolerance) build the total entrywise and compare each entry
+    against the tolerance (default 1e-12).  The Gram sum is no use there:
+    its terms of size about 1 cancel with rounding error near 1e-16, and
+    1e-16 is also the squared norm of a total whose entries are near 1e-8,
+    which the entrywise tolerance rejects.  No threshold on the squared
+    norm can tell the two apart.
     """
     if c.is_empty:
         return True
     kind = _common_kind((g.kind for _, g in c), tolerance)
-    exact = kind.is_exact
     groups: dict[GraphSkeleton, list[tuple[Fraction, DecoratedGraph]]] = {}
     for coeff, g in c:
         for sign, h in delta_decorated(g):
@@ -276,12 +326,10 @@ def is_cocycle_decorated(c: DecoratedChain, tolerance: float | None = None) -> b
         dims = {g.dim for _, g in members}
         if len(dims) > 1:
             raise ShapeMismatch(f"skeleton group mixes dimensions {sorted(dims)}")
-        total = None
-        for coeff, g in members:
-            big = _big_tensor([_lift(t, kind) for t in g.decorations])
-            big = big * (coeff if exact else float(coeff))
-            total = big if total is None else total + big
-        if nonzero_mask(total, exact, tolerance).any():
+        if kind.is_exact:
+            if _gram_norm(members) != 0:
+                return False
+        elif nonzero_mask(_outer_sum(members, kind), False, tolerance).any():
             return False
     return True
 

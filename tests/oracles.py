@@ -3,14 +3,17 @@
 Everything here recomputes results from first principles with explicit
 loops over small search spaces, trading speed for obviousness.  The test
 modules compare the package's optimized code paths against these.  Graphs
-are passed around as plain ``(vertex_count, edges)`` data — nothing in
-this module imports the package under test.
+are passed around as plain ``(vertex_count, edges)`` data and tensors as
+numpy object arrays — nothing in this module imports the package under
+test.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 # ---------------------------------------------------------------------------
 # Signed graph classes.
@@ -28,6 +31,23 @@ def perm_parity(perm):
     return -1 if inversions % 2 else 1
 
 
+def relabelings(vertex_count, edges, mode):
+    """``(perm, row, sign)`` for every vertex permutation, in lexicographic order.
+
+    ``row`` is the edge tuple the permutation reaches with every edge
+    oriented tail < head (sorted in edge-renumbering mode) and ``sign`` is
+    the permutation's parity times -1 per edge it reverses.
+    """
+    renumber = mode == "edge-renumbering"
+    for perm in itertools.permutations(range(1, vertex_count + 1)):
+        mapped = [(perm[t - 1], perm[h - 1]) for t, h in edges]
+        flips = sum(1 for t, h in mapped if t > h)
+        row = tuple((t, h) if t < h else (h, t) for t, h in mapped)
+        if renumber:
+            row = tuple(sorted(row))
+        yield perm, row, perm_parity(perm) * (-1) ** flips
+
+
 def canonical_class(vertex_count, edges, mode):
     """``(canonical edge tuple, sign)`` with sign 0 when the class vanishes.
 
@@ -41,14 +61,7 @@ def canonical_class(vertex_count, edges, mode):
     """
     best = None
     best_signs = set()
-    renumber = mode == "edge-renumbering"
-    for perm in itertools.permutations(range(1, vertex_count + 1)):
-        mapped = [(perm[t - 1], perm[h - 1]) for t, h in edges]
-        flips = sum(1 for t, h in mapped if t > h)
-        row = tuple((t, h) if t < h else (h, t) for t, h in mapped)
-        if renumber:
-            row = tuple(sorted(row))
-        sign = perm_parity(perm) * (-1) ** flips
+    for _, row, sign in relabelings(vertex_count, edges, mode):
         if best is None or row < best:
             best, best_signs = row, {sign}
         elif row == best:
@@ -56,6 +69,15 @@ def canonical_class(vertex_count, edges, mode):
     if len(best_signs) == 2:
         return best, 0
     return best, best_signs.pop()
+
+
+def canonical_witness(vertex_count, edges):
+    """Literal canonical edge tuple, the first permutation reaching it, and
+    that permutation's own sign (well defined even for vanishing classes)."""
+    perm, row, sign = min(
+        relabelings(vertex_count, edges, "literal"), key=lambda r: r[1]
+    )
+    return row, perm, sign
 
 
 def is_connected(vertex_count, edges):
@@ -308,3 +330,72 @@ def ihx_defect(f):
         if s != 0:
             return (a + 1, b + 1, c + 1, d + 1)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Decorated coboundary and closure by explicit outer products.
+# ---------------------------------------------------------------------------
+
+
+def incident_edges(edges, v):
+    return [k for k, (t, h) in enumerate(edges, start=1) if v in (t, h)]
+
+
+def decorated_delta(coeff, vertex_count, edges, arrays):
+    """Decorated coboundary of one term as ``(coeff, V, edges, arrays)`` terms.
+
+    Each regular edge is contracted with ``contract`` and its endpoint
+    tensors with ``contract_slots``; the merged tensor sits on the smaller
+    endpoint with its axes in increasing order of the edge each carries.
+    """
+    out = []
+    for e in regular_edge_indices(edges):
+        i, j = edges[e - 1]
+        inc_i, inc_j = incident_edges(edges, i), incident_edges(edges, j)
+        merged = contract_slots(
+            arrays[i - 1], arrays[j - 1], inc_i.index(e) + 1, inc_j.index(e) + 1
+        )
+        carried = [x for x in inc_i if x != e] + [x for x in inc_j if x != e]
+        order = sorted(range(len(carried)), key=carried.__getitem__)
+        dense = np.zeros((arrays[0].shape[0],) * len(carried), dtype=object)
+        for idx, value in merged.items():
+            dense[tuple(idx[a] for a in order)] = value
+        v2, edges2, sign = contract(vertex_count, edges, e)
+        lo, hi = min(i, j), max(i, j)
+        new = [None] * v2
+        new[lo - 1] = dense
+        for u in range(1, vertex_count + 1):
+            if u not in (i, j):
+                new[(u - 1 if u > hi else u) - 1] = arrays[u - 1]
+        out.append((coeff * sign, v2, edges2, new))
+    return out
+
+
+def decorated_closure(terms):
+    """True iff the decorated coboundary of ``terms`` vanishes.
+
+    ``terms`` holds ``(coeff, V, edges, arrays)``.  Every coboundary term
+    is moved onto its literal canonical skeleton along the first witness
+    permutation, with the witness sign; per skeleton the signed sum of
+    the vertex tensors' outer products, expanded over their nonzero
+    entries, must vanish entry by entry.
+    """
+    groups = {}
+    for term in terms:
+        for coeff, v2, edges2, arrays in decorated_delta(*term):
+            row, perm, sign = canonical_witness(v2, edges2)
+            moved = [None] * v2
+            for v in range(1, v2 + 1):
+                moved[perm[v - 1] - 1] = arrays[v - 1]
+            outer = {(): coeff * sign}
+            for a in moved:
+                support = [(idx, a[idx]) for idx in np.ndindex(a.shape) if a[idx] != 0]
+                outer = {
+                    key + idx: value * x
+                    for key, value in outer.items()
+                    for idx, x in support
+                }
+            total = groups.setdefault(row, {})
+            for key, value in outer.items():
+                total[key] = total.get(key, 0) + value
+    return all(x == 0 for total in groups.values() for x in total.values())

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from graphcoh.canonical import transport_to_canonical
 from graphcoh.decorated import (
     DecoratedChain,
     contract_decoration,
@@ -376,53 +375,12 @@ def test_k4_alone_is_not_closed():
 
 
 def test_k4_non_closure_confirmed_by_full_expansion():
-    """Independent route: expand the coboundary over raw labeled graphs.
-
-    Group the six contraction terms of the complete graph by the literal
-    canonical form of their skeletons, transport each vertex tensor along
-    the witness permutation, and sum signed outer products.  At least one
-    group must survive for the graph to be non-closed.
-    """
+    """Independent route: the outer-product oracle expands the six
+    contraction terms of the complete graph over raw labeled graphs; at
+    least one skeleton group must survive."""
     k4 = k4_graph()
-    groups = {}
-    for e in oracles.regular_edge_indices(k4.edges):
-        i, j = k4.edges[e - 1]
-        v2, edges2, sign = oracles.contract(4, k4.edges, e)
-        k_slot = list(k4.incident_edges(i)).index(e) + 1
-        l_slot = list(k4.incident_edges(j)).index(e) + 1
-        merged = dense_from_sparse(
-            oracles.contract_slots(EPS.array, EPS.array, k_slot, l_slot), 4, 3
-        )
-        raw_order = [x for x in k4.incident_edges(i) if x != e] + [
-            x for x in k4.incident_edges(j) if x != e
-        ]
-        axes = [raw_order.index(x) for x in sorted(raw_order)]
-        aligned = np.transpose(merged, axes)
-        contracted = new_graph(v2, edges2)
-        lo = min(i, j)
-        tensors = [None, None, None]
-        tensors[lo - 1] = aligned
-        for other in (1, 2, 3):
-            if other != lo:
-                tensors[other - 1] = EPS.array
-
-        cls, perm, wsign = transport_to_canonical(contracted, SymmetryMode.LITERAL)
-        moved = [None, None, None]
-        for v in (1, 2, 3):
-            moved[perm[v - 1] - 1] = tensors[v - 1]
-        groups.setdefault(cls.skeleton.edges, []).append((sign * wsign, moved))
-
-    survivors = 0
-    for bucket in groups.values():
-        total = None
-        for coeff, moved in bucket:
-            big = np.tensordot(
-                np.tensordot(moved[0], moved[1], axes=0), moved[2], axes=0
-            ) * Fraction(coeff)
-            total = big if total is None else total + big
-        if any(x != 0 for x in total.ravel()):
-            survivors += 1
-    assert survivors > 0
+    term = (Fraction(1), 4, k4.edges, [EPS.array] * 4)
+    assert not oracles.decorated_closure([term])
 
 
 def test_jacobi_combination_of_contractions_vanishes():
@@ -454,6 +412,122 @@ def test_mixed_scalar_kinds_need_a_tolerance():
     with pytest.raises(MixedScalarKinds):
         is_cocycle_decorated(chain)
     assert is_cocycle_decorated(chain, tolerance=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Closure verdicts against the outer-product oracle, floats, reach.
+# ---------------------------------------------------------------------------
+
+# Order-2 trivalent skeletons in literal mode: two thetas (no regular
+# edge), two numberings of the graph with two double edges (2 coboundary
+# terms) and a numbering of the complete graph (6 terms).
+ORDER2_SKELETONS = [
+    ((1, 2), (1, 2), (1, 2), (3, 4), (3, 4), (3, 4)),
+    ((1, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 4)),
+    ((1, 2), (3, 4), (1, 2), (1, 3), (3, 4), (2, 4)),
+    ((1, 2), (1, 3), (2, 4), (3, 4), (2, 3), (1, 4)),
+]
+
+
+def random_antisymmetric_tensor(dim, seed):
+    """Seeded rational 3-form: one random entry per 3-subset, alternated."""
+    rng = np.random.default_rng(seed)
+    arr = np.full((dim,) * 3, Fraction(0), dtype=object)
+    for triple in itertools.combinations(range(dim), 3):
+        value = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+        for perm in itertools.permutations(range(3)):
+            sign = oracles.perm_parity([p + 1 for p in perm])
+            arr[tuple(triple[p] for p in perm)] = sign * value
+    return make_tensor(arr.tolist(), label=f"random{dim}")
+
+
+CLOSURE_TENSORS = {
+    "eps": EPS,
+    "radical": make_tensor(
+        (EPS.array * Rad(0, Fraction(3, 2), 2)).tolist(), kind=radical(2), label="r2-eps"
+    ),
+    # dimension 4, so not a multiple of eps
+    "random": random_antisymmetric_tensor(4, 20261018),
+}
+
+
+def closure_cases():
+    order1 = [cls.skeleton.edges for cls in enumerate_trivalent(1, mode=SymmetryMode.LITERAL)]
+    return [
+        (name, edges)
+        for name in CLOSURE_TENSORS
+        for edges in order1 + ORDER2_SKELETONS
+    ]
+
+
+def test_closure_verdicts_match_the_outer_product_oracle():
+    """Single-graph and delta^2 closure agree with oracles.decorated_closure."""
+    verdicts = []
+    for name, edges in closure_cases():
+        t = CLOSURE_TENSORS[name]
+        g = new_graph(len({v for e in edges for v in e}), edges)
+        dg = decorate_uniform(g, t)
+        term = (Fraction(1), g.vertex_count, g.edges, [t.array] * g.vertex_count)
+        single = is_cocycle_decorated(DecoratedChain([(Fraction(1), dg)]))
+        assert single == oracles.decorated_closure([term]), (name, edges)
+        squared = is_cocycle_decorated(delta_decorated(dg))
+        assert squared == oracles.decorated_closure(oracles.decorated_delta(*term)), (
+            name,
+            edges,
+        )
+        verdicts += [single, squared]
+    assert True in verdicts and False in verdicts
+
+
+def float_copy(t, nudge=0.0):
+    arr = np.array(t.array, dtype=float)
+    arr[0, 1, 2] += nudge
+    return make_tensor(arr.tolist(), label=f"{t.label}-float")
+
+
+def test_float_eps_keeps_the_exact_verdicts():
+    floaty = float_copy(EPS)
+    for edges in ORDER2_SKELETONS:
+        g = new_graph(4, edges)
+        for chain_of in (
+            lambda t: DecoratedChain([(Fraction(1), decorate_uniform(g, t))]),
+            lambda t: delta_decorated(decorate_uniform(g, t)),
+        ):
+            exact = is_cocycle_decorated(chain_of(EPS))
+            assert is_cocycle_decorated(chain_of(floaty), tolerance=1e-12) == exact
+
+
+def test_float_closure_stays_entrywise():
+    """A 1e-9 residue is rejected at tolerance 1e-12, although its squared
+    norm (about 1e-18) would pass a norm test at that tolerance."""
+    g = k4_graph()
+    floaty = float_copy(EPS)
+
+    def difference(t):
+        return DecoratedChain(
+            [(Fraction(1), decorate_uniform(g, floaty)), (Fraction(-1), decorate_uniform(g, t))]
+        )
+
+    assert is_cocycle_decorated(difference(floaty), tolerance=1e-12)
+    assert not is_cocycle_decorated(difference(float_copy(EPS, 1e-9)), tolerance=1e-12)
+    assert is_cocycle_decorated(difference(float_copy(EPS, 1e-9)), tolerance=1e-6)
+
+
+def test_perturbed_jacobi_delta_squared_closes_on_order_two_skeletons():
+    """delta^2 = 0 for any decoration, here a dimension-6 tensor on graphs
+    whose coboundary terms carry 6^10 entries each."""
+    import importlib.resources as resources
+
+    text = (
+        resources.files("graphcoh").joinpath("data/perturbed_jacobi.txt").read_text()
+    )
+    tensor = parse_tensor(text, label="perturbed")
+    for edges in ORDER2_SKELETONS:
+        dg = decorate_uniform(new_graph(4, edges), tensor)
+        assert is_cocycle_decorated(delta_decorated(dg)), edges
+    assert not is_cocycle_decorated(
+        DecoratedChain([(Fraction(1), decorate_uniform(k4_graph(), tensor))])
+    )
 
 
 # ---------------------------------------------------------------------------
