@@ -461,7 +461,8 @@ def closure_cases():
 
 
 def test_closure_verdicts_match_the_outer_product_oracle():
-    """Single-graph and delta^2 closure agree with oracles.decorated_closure."""
+    """Single-graph, delta^2 and two-graph closure verdicts agree with
+    oracles.decorated_closure."""
     verdicts = []
     for name, edges in closure_cases():
         t = CLOSURE_TENSORS[name]
@@ -476,6 +477,15 @@ def test_closure_verdicts_match_the_outer_product_oracle():
             edges,
         )
         verdicts += [single, squared]
+    # two decorations of one skeleton that differ at one vertex
+    doubled = make_tensor((2 * EPS.array).tolist(), label="2eps")
+    for edges in ORDER2_SKELETONS:
+        g = new_graph(4, edges)
+        chain = [(Fraction(1), [EPS] * 4), (Fraction(-1), [EPS, EPS, EPS, doubled])]
+        got = is_cocycle_decorated(DecoratedChain([(c, decorate(g, ts)) for c, ts in chain]))
+        terms = [(c, 4, g.edges, [t.array for t in ts]) for c, ts in chain]
+        assert got == oracles.decorated_closure(terms), edges
+        verdicts.append(got)
     assert True in verdicts and False in verdicts
 
 
@@ -514,8 +524,9 @@ def test_float_closure_stays_entrywise():
 
 
 def test_perturbed_jacobi_delta_squared_closes_on_order_two_skeletons():
-    """delta^2 = 0 for any decoration, here a dimension-6 tensor on graphs
-    whose coboundary terms carry 6^10 entries each."""
+    """delta^2 = 0 for any decoration, here a dimension-6 tensor.  As outer
+    products each delta^2 term has 6^8 entries and each term of delta K4
+    6^10."""
     import importlib.resources as resources
 
     text = (
