@@ -14,43 +14,32 @@ Example:
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 
 from graphcoh.coboundary import delta_matrix
 from graphcoh.errors import BasisTooLarge
 from graphcoh.graphs import SymmetryMode, counts_for_grading
 
 
-@dataclass(frozen=True)
-class TableConfig:
-    mode: SymmetryMode = SymmetryMode.LITERAL
-    max_vertices: int = 4
-    connected: bool = False
-    cap: int | None = None
+def cells(max_vertices: int):
+    """(order, degree) of every (V, E) cell with 2 <= V <= max_vertices and degree <= 0.
 
-
-def cells(config: TableConfig):
-    seen = set()
-    for v in range(2, config.max_vertices + 1):
+    (V, E) -> (E - V, 2E - 3V) is a bijection, so no cell repeats.
+    """
+    for v in range(2, max_vertices + 1):
         for e in range((v + 1) // 2, (3 * v) // 2 + 1):
-            cell = (e - v, 2 * e - 3 * v)
-            if cell not in seen:
-                seen.add(cell)
-                yield cell
+            yield e - v, 2 * e - 3 * v
 
 
-def print_table(config: TableConfig) -> None:
-    print(f"# mode {config.mode.value} connected {str(config.connected).lower()}")
+def print_table(args: argparse.Namespace) -> None:
+    mode = SymmetryMode.parse(args.mode)
+    print(f"# mode {mode.value} connected {str(args.connected).lower()}")
     header = f"{'order':>5} {'degree':>6} {'V':>3} {'E':>3} {'dim':>5} {'rank':>5} {'kernel':>6}"
     print(header)
     print("-" * len(header))
-    for order, degree in sorted(cells(config)):
+    for order, degree in sorted(cells(args.max_vertices)):
         v, e = counts_for_grading(order, degree)
         try:
-            dm = delta_matrix(
-                order, degree,
-                connected=config.connected, mode=config.mode, cap=config.cap,
-            )
+            dm = delta_matrix(order, degree, connected=args.connected, mode=mode, cap=args.cap)
         except BasisTooLarge as exc:
             print(f"{order:>5} {degree:>6} {v:>3} {e:>3}  skipped: {exc}")
             continue
@@ -67,14 +56,7 @@ def main(argv=None) -> int:
     parser.add_argument("--max-vertices", type=int, default=4)
     parser.add_argument("--connected", action="store_true")
     parser.add_argument("--cap", type=int, default=None)
-    args = parser.parse_args(argv)
-    config = TableConfig(
-        mode=SymmetryMode.parse(args.mode),
-        max_vertices=args.max_vertices,
-        connected=args.connected,
-        cap=args.cap,
-    )
-    print_table(config)
+    print_table(parser.parse_args(argv))
     return 0
 
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from graphcoh.cli import load_tensor
+from graphcoh.cli import load_tensor, scalar_str
 from graphcoh.decorated import (
     DecoratedChain,
     decorate_uniform,
@@ -29,33 +28,20 @@ from graphcoh.graphs import SymmetryMode
 from graphcoh.tensors import CATALOGUE
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    order: int = 1
-    tensor: str = "eps"
-    mode: SymmetryMode = SymmetryMode.LITERAL
-    connected: bool = True
-    tolerance: float | None = None
-
-
-def run(config: EvalConfig) -> None:
-    tensor = load_tensor(config.tensor)
-    classes = enumerate_trivalent(
-        config.order, connected=config.connected, mode=config.mode
-    )
-    print(
-        f"# order {config.order} mode {config.mode.value} "
-        f"tensor {config.tensor} classes {len(classes)}"
-    )
+def run(args: argparse.Namespace) -> None:
+    tensor = load_tensor(args.tensor)
+    mode = SymmetryMode.parse(args.mode)
+    classes = enumerate_trivalent(args.order, connected=not args.all_components, mode=mode)
+    print(f"# order {args.order} mode {mode.value} tensor {args.tensor} classes {len(classes)}")
     closed_count = 0
     for k, cls in enumerate(classes, start=1):
         dg = decorate_uniform(cls.skeleton, tensor)
         value = evaluate(dg)
         chain = DecoratedChain([(Fraction(1), dg)])
-        closed = is_cocycle_decorated(chain, config.tolerance)
+        closed = is_cocycle_decorated(chain, args.tol)
         closed_count += closed
         edges = " ".join(f"{t}-{h}" for t, h in cls.skeleton.edges)
-        print(f"g{k:<4} value {str(value):>8}  closed {str(closed):<5}  edges {edges}")
+        print(f"g{k:<4} value {scalar_str(value):>8}  closed {str(closed):<5}  edges {edges}")
     print(f"# closed {closed_count} of {len(classes)}")
 
 
@@ -73,15 +59,8 @@ def main(argv=None) -> int:
                         help="include disconnected classes")
     parser.add_argument("--tol", type=float, default=None)
     args = parser.parse_args(argv)
-    config = EvalConfig(
-        order=args.order,
-        tensor=args.tensor,
-        mode=SymmetryMode.parse(args.mode),
-        connected=not args.all_components,
-        tolerance=args.tol,
-    )
     try:
-        run(config)
+        run(args)
     except (GraphCohError, OSError, ValueError) as exc:
         print(f"evaluate_trivalent: {exc}", file=sys.stderr)
         return 1

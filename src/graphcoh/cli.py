@@ -14,7 +14,6 @@ import importlib.resources
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,33 +50,21 @@ from .graphs import (
     reverse_edges,
 )
 from .reps import SpinRep, as_spin, power_decompose, tensor_decompose, trivial_multiplicity
-from .tensors import CATALOGUE, EquivariantTensor, Rad, catalogue_tensor, direct_sum, eps_tensor, parse_tensor
-
-SUITES = ("delta2", "canon", "ihx", "multiplicities", "decorated-delta2")
+from .tensors import (
+    CATALOGUE,
+    EquivariantTensor,
+    Rad,
+    catalogue_tensor,
+    direct_sum,
+    eps_tensor,
+    pairing,
+    parse_tensor,
+)
 
 # exhaustive delta-squared sweeps stay exact and fast up to these sizes
 DELTA2_VMAX = {SymmetryMode.LITERAL: 4, SymmetryMode.EDGE_RENUMBERING: 6}
 CANON_RANDOM_SYMMETRIES = 1000
 CANON_SEED = 5189
-
-
-@dataclass
-class RunConfig:
-    command: str
-    mode: SymmetryMode = SymmetryMode.LITERAL
-    order: int | None = None
-    degree: int = 0
-    connected: bool = False
-    cap: int | None = None
-    tolerance: float | None = None
-    inputs: tuple[str, ...] = ()
-    tensors: tuple[str, ...] = ()
-    spins: str | None = None
-    power: int | None = None
-    suite: str | None = None
-    out: str | None = None
-    json_out: str | None = None
-    mode_explicit: bool = False
 
 
 def scalar_str(x) -> str:
@@ -127,14 +114,14 @@ def _is_decoration_file(text: str) -> bool:
     return False
 
 
-def _emit(config: RunConfig, lines: list[str], payload: dict) -> None:
+def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> None:
     text = "\n".join(lines) + "\n"
-    if config.out:
-        Path(config.out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    if config.json_out:
-        Path(config.json_out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    if args.json_out:
+        Path(args.json_out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _graph_json(g: GraphSkeleton) -> dict:
@@ -142,136 +129,115 @@ def _graph_json(g: GraphSkeleton) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies.
+# Subcommand bodies.  Each reads the parsed arguments; main has already
+# turned --mode into a SymmetryMode.
 # ---------------------------------------------------------------------------
 
 
-def cmd_enumerate(config: RunConfig) -> int:
+def _grading_header(args: argparse.Namespace, counts: str) -> list[str]:
+    return [
+        f"# graphcoh {args.command}",
+        f"# mode {args.mode.value}",
+        f"# order {args.order} degree {args.degree} connected {str(args.connected).lower()}",
+        f"# {counts}",
+    ]
+
+
+def _grading_payload(args: argparse.Namespace) -> dict:
+    return {
+        "command": args.command,
+        "mode": args.mode.value,
+        "order": args.order,
+        "degree": args.degree,
+        "connected": args.connected,
+    }
+
+
+def cmd_enumerate(args: argparse.Namespace) -> int:
     classes = enumerate_grading(
-        config.order, config.degree, connected=config.connected,
-        mode=config.mode, cap=config.cap,
+        args.order, args.degree, connected=args.connected, mode=args.mode, cap=args.cap
     )
     skeletons = [c.skeleton for c in classes]
     ids = [f"g{k}" for k in range(1, len(skeletons) + 1)]
-    lines = [
-        "# graphcoh enumerate",
-        f"# mode {config.mode.value}",
-        f"# order {config.order} degree {config.degree} connected {str(config.connected).lower()}",
-        f"# classes {len(skeletons)}",
-    ]
+    lines = _grading_header(args, f"classes {len(skeletons)}")
     if skeletons:
         lines.append(format_graphs(skeletons, ids=ids).rstrip("\n"))
-    payload = {
-        "command": "enumerate",
-        "mode": config.mode.value,
-        "order": config.order,
-        "degree": config.degree,
-        "connected": config.connected,
-        "classes": {i: _graph_json(g) for i, g in zip(ids, skeletons)},
-    }
-    _emit(config, lines, payload)
+    payload = _grading_payload(args)
+    payload["classes"] = {i: _graph_json(g) for i, g in zip(ids, skeletons)}
+    _emit(args, lines, payload)
     return 0
 
 
-def cmd_delta(config: RunConfig) -> int:
+def cmd_delta(args: argparse.Namespace) -> int:
     dm = delta_matrix(
-        config.order, config.degree, connected=config.connected,
-        mode=config.mode, cap=config.cap,
+        args.order, args.degree, connected=args.connected, mode=args.mode, cap=args.cap
     )
-    lines = ["# graphcoh delta", format_matrix(dm).rstrip("\n")]
-    payload = {
-        "command": "delta",
-        "mode": config.mode.value,
-        "order": config.order,
-        "degree": config.degree,
-        "connected": config.connected,
-        "rows": dm.shape[0],
-        "cols": dm.shape[1],
-        "entries": [
-            {"row": r + 1, "col": c + 1, "value": str(dm.entries[(r, c)])}
-            for (r, c) in sorted(dm.entries)
-        ],
-    }
-    _emit(config, lines, payload)
+    payload = _grading_payload(args)
+    payload["rows"], payload["cols"] = dm.shape
+    payload["entries"] = [
+        {"row": r + 1, "col": c + 1, "value": str(dm.entries[(r, c)])}
+        for (r, c) in sorted(dm.entries)
+    ]
+    _emit(args, ["# graphcoh delta", format_matrix(dm).rstrip("\n")], payload)
     return 0
 
 
-def cmd_cocycles(config: RunConfig) -> int:
+def cmd_cocycles(args: argparse.Namespace) -> int:
     dm = delta_matrix(
-        config.order, config.degree, connected=config.connected,
-        mode=config.mode, cap=config.cap,
+        args.order, args.degree, connected=args.connected, mode=args.mode, cap=args.cap
     )
     cocycles = cocycles_of(dm)
     index_of = {cls: k for k, cls in enumerate(dm.domain)}
     ids = [f"g{k}" for k in range(1, len(dm.domain) + 1)]
-    lines = [
-        "# graphcoh cocycles",
-        f"# mode {config.mode.value}",
-        f"# order {config.order} degree {config.degree} connected {str(config.connected).lower()}",
-        f"# basis {len(dm.domain)} cocycles {len(cocycles)}",
-    ]
+    lines = _grading_header(args, f"basis {len(dm.domain)} cocycles {len(cocycles)}")
     if dm.domain:
         lines.append(format_graphs([c.skeleton for c in dm.domain], ids=ids).rstrip("\n"))
     for k, c in enumerate(cocycles, start=1):
         lines.append(f"# cocycle {k}")
         lines.append(format_cochain(c, index_of).rstrip("\n"))
-    payload = {
-        "command": "cocycles",
-        "mode": config.mode.value,
-        "order": config.order,
-        "degree": config.degree,
-        "connected": config.connected,
-        "basis": {i: _graph_json(c.skeleton) for i, c in zip(ids, dm.domain)},
-        "cocycles": [
-            {f"g{index_of[cls] + 1}": str(coeff) for cls, coeff in c}
-            for c in cocycles
-        ],
-    }
-    _emit(config, lines, payload)
+    payload = _grading_payload(args)
+    payload["basis"] = {i: _graph_json(c.skeleton) for i, c in zip(ids, dm.domain)}
+    payload["cocycles"] = [
+        {f"g{index_of[cls] + 1}": str(coeff) for cls, coeff in c} for c in cocycles
+    ]
+    _emit(args, lines, payload)
     return 0
 
 
-def cmd_mult(config: RunConfig) -> int:
-    spins = [as_spin(s) for s in config.spins.split(",") if s.strip()]
+def cmd_mult(args: argparse.Namespace) -> int:
+    spins = [as_spin(s) for s in args.spins.split(",") if s.strip()]
     if not spins:
         raise GraphCohError("--spins needs at least one spin")
-    if config.power is not None:
-        counts = power_decompose(SpinRep(tuple(spins)), config.power)
+    if args.power is not None:
+        counts = power_decompose(SpinRep(tuple(spins)), args.power)
     else:
         counts = tensor_decompose(spins)
     line = " ".join(f"{j}:{m}" for j, m in counts.items())
     payload = {
         "command": "mult",
         "spins": [str(j) for j in spins],
-        "power": config.power,
+        "power": args.power,
         "multiplicities": {str(j): m for j, m in counts.items()},
     }
-    _emit(config, [line], payload)
+    _emit(args, [line], payload)
     return 0
 
 
-def cmd_pairing(config: RunConfig) -> int:
-    if len(config.tensors) != 2:
+def cmd_pairing(args: argparse.Namespace) -> int:
+    if len(args.tensor) != 2:
         raise GraphCohError("pairing needs exactly two --tensor arguments")
-    from .tensors import pairing as tensor_pairing
-
-    t1 = load_tensor(config.tensors[0])
-    t2 = load_tensor(config.tensors[1])
-    value = tensor_pairing(t1, t2)
-    payload = {
-        "command": "pairing",
-        "tensors": list(config.tensors),
-        "value": _scalar_json(value),
-    }
-    _emit(config, [scalar_str(value)], payload)
+    value = pairing(load_tensor(args.tensor[0]), load_tensor(args.tensor[1]))
+    payload = {"command": "pairing", "tensors": args.tensor, "value": _scalar_json(value)}
+    _emit(args, [scalar_str(value)], payload)
     return 0
 
 
 def _decorations_for(g: GraphSkeleton, refs: list[str]) -> DecoratedGraph:
     if len(refs) == 1:
         path = Path(refs[0])
-        if refs[0] not in CATALOGUE and path.exists() and _is_decoration_file(path.read_text()):
-            mapping = parse_decoration_lines(path.read_text())
+        text = None if refs[0] in CATALOGUE or not path.exists() else path.read_text()
+        if text is not None and _is_decoration_file(text):
+            mapping = parse_decoration_lines(text)
             missing = [v for v in range(1, g.vertex_count + 1) if v not in mapping]
             if missing:
                 raise GraphCohError(
@@ -288,32 +254,40 @@ def _decorations_for(g: GraphSkeleton, refs: list[str]) -> DecoratedGraph:
     return decorate(g, [load_tensor(r) for r in refs])
 
 
-def cmd_eval(config: RunConfig) -> int:
-    if not config.inputs:
+def cmd_eval(args: argparse.Namespace) -> int:
+    if not args.inputs:
         raise GraphCohError("eval needs --in <graph file>")
-    if not config.tensors:
+    if not args.tensor:
         raise GraphCohError("eval needs at least one --tensor")
-    text = "\n\n".join(Path(p).read_text() for p in config.inputs)
-    skeletons = parse_graphs(text)
-    lines = ["# graphcoh eval", f"# mode {config.mode.value}"]
+    text = "\n\n".join(Path(p).read_text() for p in args.inputs)
+    lines = ["# graphcoh eval", f"# mode {args.mode.value}"]
     values = {}
-    for k, g in enumerate(skeletons, start=1):
-        dg = _decorations_for(g, list(config.tensors))
-        value = evaluate(dg)
+    for k, g in enumerate(parse_graphs(text), start=1):
+        value = evaluate(_decorations_for(g, args.tensor))
         values[f"g{k}"] = value
         lines.append(f"g{k}\t{scalar_str(value)}")
     payload = {
         "command": "eval",
-        "mode": config.mode.value,
+        "mode": args.mode.value,
         "values": {k: _scalar_json(v) for k, v in values.items()},
     }
-    _emit(config, lines, payload)
+    _emit(args, lines, payload)
     return 0
 
 
 # ---------------------------------------------------------------------------
-# Validation suites.  Each returns (ok, result lines, witness lines).
+# Validation suites.  Each appends its result lines to `lines` and stops at
+# the first failure by raising _SuiteFailure with the witness lines.
 # ---------------------------------------------------------------------------
+
+
+class _SuiteFailure(Exception):
+    """A failed suite; its args are the witness lines."""
+
+
+def _modes(args: argparse.Namespace) -> list[SymmetryMode]:
+    """The mode given with --mode, or every mode."""
+    return [args.mode] if args.mode else list(SymmetryMode)
 
 
 def _delta2_universe(mode: SymmetryMode, max_order: int, cap: int | None):
@@ -324,33 +298,32 @@ def _delta2_universe(mode: SymmetryMode, max_order: int, cap: int | None):
             yield from enumerate_grading(e - v, 2 * e - 3 * v, mode=mode, cap=cap)
 
 
-def suite_delta2(config: RunConfig):
-    max_order = config.order if config.order is not None else 3
-    modes = [config.mode] if config.mode_explicit else list(SymmetryMode)
-    lines, witness = [], []
+def suite_delta2(args: argparse.Namespace, lines: list[str]) -> None:
+    max_order = args.order if args.order is not None else 3
     checked = 0
-    for mode in modes:
+    for mode in _modes(args):
         count = 0
-        for cls in _delta2_universe(mode, max_order, config.cap):
+        for cls in _delta2_universe(mode, max_order, args.cap):
             n, t = cls.grading
             image = delta(cls)
             if not image.is_zero and image.grading != (n, t + 1):
-                witness.append(f"grading shift violated at mode {mode.value}:")
-                witness.append(format_graph(cls.skeleton).rstrip("\n"))
-                return False, lines, witness
+                raise _SuiteFailure(
+                    f"grading shift violated at mode {mode.value}:",
+                    format_graph(cls.skeleton).rstrip("\n"),
+                )
             dd = delta(image)
             if not dd.is_zero:
-                witness.append(f"delta^2 != 0 at mode {mode.value}, class:")
-                witness.append(format_graph(cls.skeleton).rstrip("\n"))
                 first = dd.support()[0]
-                witness.append(f"residual coefficient {dd.coefficient(first)} on:")
-                witness.append(format_graph(first.skeleton).rstrip("\n"))
-                return False, lines, witness
+                raise _SuiteFailure(
+                    f"delta^2 != 0 at mode {mode.value}, class:",
+                    format_graph(cls.skeleton).rstrip("\n"),
+                    f"residual coefficient {dd.coefficient(first)} on:",
+                    format_graph(first.skeleton).rstrip("\n"),
+                )
             count += 1
         checked += count
         lines.append(f"ok delta2+grading mode {mode.value} classes {count}")
     lines.append(f"total classes checked {checked}")
-    return True, lines, witness
 
 
 def _random_symmetry(rng: random.Random, g: GraphSkeleton, mode: SymmetryMode):
@@ -367,88 +340,75 @@ def _random_symmetry(rng: random.Random, g: GraphSkeleton, mode: SymmetryMode):
     return h, sign, perm, reversals, eperm
 
 
-def suite_canon(config: RunConfig):
-    modes = [config.mode] if config.mode_explicit else list(SymmetryMode)
+def suite_canon(args: argparse.Namespace, lines: list[str]) -> None:
     rng = random.Random(CANON_SEED)
-    lines, witness = [], []
-    for mode in modes:
+    for mode in _modes(args):
         skeletons = [
             cls.skeleton
             for m in (1, 2)
-            for cls in enumerate_trivalent(m, connected=False, mode=mode, cap=config.cap)
+            for cls in enumerate_trivalent(m, connected=False, mode=mode, cap=args.cap)
         ]
         checks = 0
         for g in skeletons:
             base = canonicalize(g, mode)
             if base.skeleton != g or base.sign_state != 1:
-                witness.append(f"canonical form not idempotent in mode {mode.value}:")
-                witness.append(format_graph(g).rstrip("\n"))
-                return False, lines, witness
+                raise _SuiteFailure(
+                    f"canonical form not idempotent in mode {mode.value}:",
+                    format_graph(g).rstrip("\n"),
+                )
             for _ in range(CANON_RANDOM_SYMMETRIES):
                 h, sign, perm, reversals, eperm = _random_symmetry(rng, g, mode)
                 got = canonicalize(h, mode)
                 if got.skeleton != g or got.sign_state != sign:
-                    witness.append(
+                    raise _SuiteFailure(
                         f"sign multiplicativity violated in mode {mode.value}: "
                         f"perm {perm}, reversals {reversals}, edge perm {eperm}, "
-                        f"expected sign {sign}, got {got.sign_state}"
+                        f"expected sign {sign}, got {got.sign_state}",
+                        format_graph(g).rstrip("\n"),
                     )
-                    witness.append(format_graph(g).rstrip("\n"))
-                    return False, lines, witness
                 checks += 1
         double = new_graph(2, [(1, 2), (1, 2)])
         if not canonicalize(double, mode).is_zero:
-            witness.append(f"double edge not detected as a zero class in mode {mode.value}")
-            witness.append(format_graph(double).rstrip("\n"))
-            return False, lines, witness
+            raise _SuiteFailure(
+                f"double edge not detected as a zero class in mode {mode.value}",
+                format_graph(double).rstrip("\n"),
+            )
         lines.append(
             f"ok canon mode {mode.value} skeletons {len(skeletons)} random checks {checks}"
         )
-    return True, lines, witness
 
 
-def suite_ihx(config: RunConfig):
-    lines, witness = [], []
+def suite_ihx(args: argparse.Namespace, lines: list[str]) -> None:
     eps = eps_tensor()
-    cases = [
-        ("eps", eps, True),
-        ("eps-block-sum", direct_sum(eps, eps), True),
-    ]
-    for name, tensor, expected in cases:
-        got = ihx_violation(tensor, config.tolerance) is None
-        if got != expected:
-            witness.append(f"ihx({name}) = {got}, expected {expected}")
-            return False, lines, witness
+    for name, tensor in (("eps", eps), ("eps-block-sum", direct_sum(eps, eps))):
+        if ihx_violation(tensor, args.tol) is not None:
+            raise _SuiteFailure(f"ihx({name}) = False, expected True")
         lines.append(f"ok ihx {name} holds")
     data = importlib.resources.files("graphcoh").joinpath("data/perturbed_jacobi.txt")
     perturbed = parse_tensor(data.read_text(), label="perturbed-jacobi")
-    violation = ihx_violation(perturbed, config.tolerance)
+    violation = ihx_violation(perturbed, args.tol)
     if violation is None:
-        witness.append("perturbed table unexpectedly satisfies the identity")
-        return False, lines, witness
+        raise _SuiteFailure("perturbed table unexpectedly satisfies the identity")
     lines.append(f"ok ihx perturbed-jacobi fails at index {violation}")
-    return True, lines, witness
 
 
-def suite_multiplicities(config: RunConfig):
-    lines, witness = [], []
+def suite_multiplicities(args: argparse.Namespace, lines: list[str]) -> None:
     for j2 in range(0, 13):
         j = Fraction(j2, 2)
         expected = 1 if j.denominator == 1 else 0
         got = trivial_multiplicity(SpinRep.of(j), 3)
         if got != expected:
-            witness.append(f"trivial multiplicity of E_{j} cubed: got {got}, expected {expected}")
-            return False, lines, witness
+            raise _SuiteFailure(
+                f"trivial multiplicity of E_{j} cubed: got {got}, expected {expected}"
+            )
     lines.append("ok trivial multiplicities of E_j cubed for 2j = 0..12")
     full = tensor_decompose([1, 1, 1])
     expected_full = {Fraction(0): 1, Fraction(1): 3, Fraction(2): 2, Fraction(3): 1}
     if full != expected_full:
-        witness.append(f"decomposition of spin-1 cubed: got {full}")
-        return False, lines, witness
+        raise _SuiteFailure(f"decomposition of spin-1 cubed: got {full}")
     dim = sum(m * (int(2 * j) + 1) for j, m in full.items())
     if dim != 27:
-        witness.append(f"dimension check failed: {dim} != 27")
-        return False, lines, witness
+        raise _SuiteFailure(f"dimension check failed: {dim} != 27")
     lines.append("ok spin-1 cubed decomposes as 0:1 1:3 2:2 3:1 (dimension 27)")
     for spins in ([Fraction(1, 2), Fraction(1, 2)], [2, Fraction(3, 2)], [1, 1, 1, 1]):
         target = 1
@@ -457,29 +417,25 @@ def suite_multiplicities(config: RunConfig):
         counts = tensor_decompose(spins)
         dim = sum(m * (int(2 * j) + 1) for j, m in counts.items())
         if dim != target:
-            witness.append(f"dimension not preserved for {spins}: {dim} != {target}")
-            return False, lines, witness
+            raise _SuiteFailure(f"dimension not preserved for {spins}: {dim} != {target}")
     lines.append("ok dimension preservation spot checks")
-    return True, lines, witness
 
 
-def suite_decorated_delta2(config: RunConfig):
-    lines, witness = [], []
+def suite_decorated_delta2(args: argparse.Namespace, lines: list[str]) -> None:
     eps = eps_tensor()
     count = 0
     for m in (1, 2):
-        for cls in enumerate_trivalent(m, connected=False, mode=SymmetryMode.LITERAL, cap=config.cap):
+        for cls in enumerate_trivalent(m, connected=False, mode=SymmetryMode.LITERAL, cap=args.cap):
             g = decorate_uniform(cls.skeleton, eps)
-            if not is_cocycle_decorated(delta_decorated(g), config.tolerance):
-                witness.append("decorated delta^2 residue on:")
-                witness.append(format_graph(cls.skeleton).rstrip("\n"))
-                return False, lines, witness
+            if not is_cocycle_decorated(delta_decorated(g), args.tol):
+                raise _SuiteFailure(
+                    "decorated delta^2 residue on:", format_graph(cls.skeleton).rstrip("\n")
+                )
             count += 1
     lines.append(f"ok decorated-delta2 trivalent skeletons {count} (literal mode)")
-    return True, lines, witness
 
 
-SUITE_RUNNERS = {
+SUITES = {
     "delta2": suite_delta2,
     "canon": suite_canon,
     "ihx": suite_ihx,
@@ -488,30 +444,26 @@ SUITE_RUNNERS = {
 }
 
 
-def cmd_check(config: RunConfig) -> int:
-    runner = SUITE_RUNNERS[config.suite]
-    ok, lines, witness = runner(config)
-    out = [
-        "# graphcoh check",
-        f"# suite {config.suite}",
-        f"# mode {config.mode.value if config.mode_explicit else 'all'}",
-        *lines,
-    ]
-    if ok:
-        out.append("PASS")
-    else:
-        out.extend(witness)
-        out.append("FAIL")
+def cmd_check(args: argparse.Namespace) -> int:
+    lines: list[str] = []
+    witness: list[str] = []
+    try:
+        SUITES[args.suite](args, lines)
+    except _SuiteFailure as failure:
+        witness = list(failure.args)
+    mode = args.mode.value if args.mode else "all"
+    report = ["# graphcoh check", f"# suite {args.suite}", f"# mode {mode}", *lines, *witness]
+    report.append("FAIL" if witness else "PASS")
     payload = {
         "command": "check",
-        "suite": config.suite,
-        "mode": config.mode.value if config.mode_explicit else "all",
-        "ok": ok,
+        "suite": args.suite,
+        "mode": mode,
+        "ok": not witness,
         "results": lines,
         "witness": witness,
     }
-    _emit(config, out, payload)
-    return 0 if ok else 1
+    _emit(args, report, payload)
+    return 1 if witness else 0
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *, mode=False, cap=False, tol=False, grading=False):
         """--out and --json, plus the options the subcommand reads."""
         if mode:
-            p.add_argument("--mode", choices=[m.value for m in SymmetryMode], default=None,
+            p.add_argument("--mode", choices=[m.value for m in SymmetryMode], default="literal",
                            help="symmetry mode (default literal)")
         if cap:
             p.add_argument("--cap", type=int, default=None, help="basis size cap")
@@ -573,31 +525,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a named validation suite")
     common(p, mode=True, cap=True, tol=True)
+    # without --mode, check runs every mode
+    p.set_defaults(mode=None)
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--order", "--max-order", dest="order", type=int, default=None,
                    help="order bound for the delta2 sweep (default 3)")
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    mode_arg = getattr(args, "mode", None)
-    return RunConfig(
-        command=args.command,
-        mode=SymmetryMode.parse(mode_arg) if mode_arg else SymmetryMode.LITERAL,
-        order=getattr(args, "order", None),
-        degree=getattr(args, "degree", 0),
-        connected=getattr(args, "connected", False),
-        cap=getattr(args, "cap", None),
-        tolerance=getattr(args, "tol", None),
-        inputs=tuple(getattr(args, "inputs", ()) or ()),
-        tensors=tuple(getattr(args, "tensor", ()) or ()),
-        spins=getattr(args, "spins", None),
-        power=getattr(args, "power", None),
-        suite=getattr(args, "suite", None),
-        out=args.out,
-        json_out=args.json_out,
-        mode_explicit=mode_arg is not None,
-    )
 
 
 COMMANDS = {
@@ -611,21 +544,15 @@ COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    try:
-        return COMMANDS[config.command](config)
-    except GraphCohError as exc:
-        print(f"graphcoh {config.command}: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
-        print(f"graphcoh {config.command}: {exc}", file=sys.stderr)
-        return 1
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return run(config_from_args(args))
+    args = build_parser().parse_args(argv)
+    if getattr(args, "mode", None):
+        args.mode = SymmetryMode.parse(args.mode)
+    try:
+        return COMMANDS[args.command](args)
+    except (GraphCohError, OSError, ValueError) as exc:
+        print(f"graphcoh {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -207,7 +207,9 @@ class DeltaMatrix:
     """Sparse matrix of delta between two enumerated bases.
 
     Column j holds delta(domain[j]) expanded over codomain; entries maps
-    (row, col) with 0-based indices to nonzero rationals.
+    (row, col) with 0-based indices to nonzero rationals.  The entries are
+    not changed after construction, so the matrix is eliminated once, on
+    the first call of rank() or kernel().
     """
 
     order: int
@@ -222,12 +224,16 @@ class DeltaMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.codomain), len(self.domain))
 
+    @functools.cached_property
+    def _reduced(self) -> dict[int, dict[int, Fraction]]:
+        return rref(len(self.domain), self.entries)
+
     def rank(self) -> int:
-        return len(rref(len(self.domain), self.entries))
+        return len(self._reduced)
 
     def kernel(self) -> list[dict[int, Fraction]]:
         """Sparse kernel vectors {domain index: coefficient}, one per free column."""
-        return kernel_basis(len(self.domain), self.entries)
+        return kernel_basis(len(self.domain), self._reduced)
 
 
 def delta_matrix(
@@ -305,10 +311,9 @@ def rref(
 
 
 def kernel_basis(
-    ncols: int, entries: Mapping[tuple[int, int], Fraction]
+    ncols: int, reduced: Mapping[int, Mapping[int, Fraction]]
 ) -> list[dict[int, Fraction]]:
-    """Sparse kernel basis: {f: 1} + {p: -R[p][f]} per free column f, ascending."""
-    reduced = rref(ncols, entries)
+    """Sparse kernel basis from the output of rref: {f: 1} + {p: -R[p][f]} per free column f."""
     basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in reduced}
     for p, row in reduced.items():
         for f, v in row.items():

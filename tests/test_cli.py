@@ -9,8 +9,11 @@ from pathlib import Path
 import pytest
 
 import graphcoh
+from graphcoh import cli
+from graphcoh.canonical import canonicalize
 from graphcoh.cli import main
-from graphcoh.graphs import format_graph, format_graphs, k4_graph, theta_graph
+from graphcoh.coboundary import Cochain, delta
+from graphcoh.graphs import SymmetryMode, format_graph, format_graphs, k4_graph, new_graph, theta_graph
 from graphcoh.tensors import eps_tensor, format_tensor
 
 THETA_TEXT = format_graph(theta_graph())
@@ -270,6 +273,68 @@ def test_check_is_deterministic(capsys):
     first = run_cli(capsys, "check", "--suite", "ihx")
     second = run_cli(capsys, "check", "--suite", "ihx")
     assert first == second
+
+
+def _delta_nilpotent_only_in_literal_mode(c):
+    # from the first edge-renumbering class with a nonzero image on, delta^2 = image
+    if isinstance(c, Cochain) and c.mode is SymmetryMode.EDGE_RENUMBERING:
+        return c
+    return delta(c)
+
+
+def _double_edge_not_zero(g, mode):
+    if g == new_graph(2, [(1, 2), (1, 2)]):
+        return canonicalize(theta_graph(), mode)
+    return canonicalize(g, mode)
+
+
+FORCED_FAILURES = {
+    "delta2": (
+        "delta", _delta_nilpotent_only_in_literal_mode, ["--max-order", "1"], "all",
+        ["ok delta2+grading mode literal classes 348"],
+        [
+            "delta^2 != 0 at mode edge-renumbering, class:",
+            "V 3 E 4\n1 2\n1 2\n1 2\n1 3",
+            "residual coefficient -1 on:",
+            "V 2 E 3\n1 2\n1 2\n1 2",
+        ],
+    ),
+    "canon": (
+        "canonicalize", _double_edge_not_zero, ["--mode", "edge-renumbering"], "edge-renumbering",
+        [],
+        ["double edge not detected as a zero class in mode edge-renumbering", "V 2 E 2\n1 2\n1 2"],
+    ),
+    "ihx": (
+        "ihx_violation", lambda tensor, tol=None: None, ["--tol", "1e-9"], "all",
+        ["ok ihx eps holds", "ok ihx eps-block-sum holds"],
+        ["perturbed table unexpectedly satisfies the identity"],
+    ),
+    "multiplicities": (
+        "trivial_multiplicity", lambda rep, power: 0, [], "all",
+        [],
+        ["trivial multiplicity of E_0 cubed: got 0, expected 1"],
+    ),
+    "decorated-delta2": (
+        "is_cocycle_decorated", lambda chain, tol=None: False, [], "all",
+        [],
+        ["decorated delta^2 residue on:", "V 2 E 3\n1 2\n1 2\n1 2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(FORCED_FAILURES))
+def test_check_fail_report(capsys, monkeypatch, tmp_path, suite):
+    """A suite whose library call is broken reports its ok lines, the witness and FAIL."""
+    name, fake, extra, mode, results, witness = FORCED_FAILURES[suite]
+    monkeypatch.setattr(cli, name, fake)
+    out_json = tmp_path / "check.json"
+    rc, out, err = run_cli(capsys, "check", "--suite", suite, *extra, "--json", str(out_json))
+    assert (rc, err) == (1, "")
+    assert out == "\n".join(
+        ["# graphcoh check", f"# suite {suite}", f"# mode {mode}", *results, *witness, "FAIL"]
+    ) + "\n"
+    payload = json.loads(out_json.read_text())
+    assert (payload["ok"], payload["results"], payload["witness"]) == (False, results, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from graphcoh import coboundary
 from graphcoh.canonical import canonicalize
 from graphcoh.coboundary import (
     Cochain,
@@ -289,6 +290,19 @@ def test_frozen_shapes_and_ranks():
     assert (dm.shape, dm.rank(), len(dm.kernel())) == ((280, 6505), 268, 6237)
 
 
+def test_rank_and_kernel_share_one_elimination(monkeypatch):
+    calls = []
+
+    def counting_rref(ncols, entries):
+        calls.append(ncols)
+        return rref(ncols, entries)
+
+    monkeypatch.setattr(coboundary, "rref", counting_rref)
+    dm = delta_matrix(1, -2, connected=False)
+    assert (dm.rank(), len(dm.kernel())) == (12, 268)
+    assert calls == [280]
+
+
 def test_trivalent_cell_frozen_dimensions():
     cases = {
         (SymmetryMode.LITERAL, True): ((40, 1815), 40, 1775),
@@ -393,7 +407,7 @@ def test_elimination_matches_sympy(rows):
     for i, p in enumerate(pivots):
         row = reduced[p]
         assert [sympy.Rational(row.get(c, 0)) for c in range(3)] == list(form.row(i))
-    kernel = kernel_basis(3, entries)
+    kernel = kernel_basis(3, reduced)
     assert len(kernel) == 3 - expected.rank()
     for vec in kernel:
         for row in rows:

@@ -1,10 +1,11 @@
 """Source hygiene: no unused imports and no unreferenced definitions.
 
 No linter ships with the package, so this parses each module under
-src/graphcoh/ and fails on imported names that are never referenced (the
-package __init__, which re-exports, is exempt), and on module-level
-functions, classes and constants that nothing in src/, tests/ or scripts/
-names outside their own definition (dunder names are exempt).
+src/graphcoh/ and each script under scripts/, and fails on imported names
+that are never referenced (the package __init__, which re-exports, is
+exempt).  It also fails on module-level functions, classes and constants
+of src/graphcoh/ that nothing in src/, tests/ or scripts/ names outside
+their own definition (dunder names are exempt).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "graphcoh"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 SOURCES = sorted(
     p for d in ("src", "tests", "scripts") for p in (ROOT / d).rglob("*.py")
 )
@@ -41,7 +43,7 @@ def test_unused_import_is_detected():
     assert unused_imports(source) == ["Mapping (line 2)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -3,9 +3,11 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import graphcoh
+from graphcoh.tensors import Rad, eps_tensor, format_tensor, make_tensor, radical
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -47,3 +49,14 @@ def test_evaluate_trivalent_rejects_a_malformed_tensor_file(tmp_path):
     proc = run_script("evaluate_trivalent.py", "--tensor", str(path))
     assert proc.returncode == 1
     assert proc.stderr == "evaluate_trivalent: line 2: bad index in '1 2 x 1/1'\n"
+
+
+def test_evaluate_trivalent_prints_radical_values_as_the_cli_does(tmp_path):
+    path = tmp_path / "r2_eps.txt"
+    path.write_text(format_tensor(make_tensor(
+        (eps_tensor().array * Rad(0, Fraction(3, 2), 2)).tolist(), kind=radical(2)
+    )))
+    proc = run_script("evaluate_trivalent.py", "--order", "1", "--tensor", str(path))
+    assert proc.returncode == 0, proc.stderr
+    # (3/2 sqrt 2)^2 * 6 = 27, printed by cli.scalar_str as in `graphcoh eval`
+    assert proc.stdout.splitlines()[1] == "g1    value       27  closed True   edges 1-2 1-2 1-2"
