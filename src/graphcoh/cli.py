@@ -447,23 +447,25 @@ SUITES = {
 def cmd_check(args: argparse.Namespace) -> int:
     lines: list[str] = []
     witness: list[str] = []
+    ok = True
     try:
         SUITES[args.suite](args, lines)
     except _SuiteFailure as failure:
+        ok = False
         witness = list(failure.args)
     mode = args.mode.value if args.mode else "all"
     report = ["# graphcoh check", f"# suite {args.suite}", f"# mode {mode}", *lines, *witness]
-    report.append("FAIL" if witness else "PASS")
+    report.append("PASS" if ok else "FAIL")
     payload = {
         "command": "check",
         "suite": args.suite,
         "mode": mode,
-        "ok": not witness,
+        "ok": ok,
         "results": lines,
         "witness": witness,
     }
     _emit(args, report, payload)
-    return 1 if witness else 0
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "repeat for per-vertex tensors")
 
     p = sub.add_parser("check", help="run a named validation suite")
-    common(p, mode=True, cap=True, tol=True)
-    # without --mode, check runs every mode
-    p.set_defaults(mode=None)
+    p.add_argument("--mode", choices=[m.value for m in SymmetryMode], default=None,
+                   help="symmetry mode (default: every mode)")
+    common(p, cap=True, tol=True)
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--order", "--max-order", dest="order", type=int, default=None,
                    help="order bound for the delta2 sweep (default 3)")

@@ -207,9 +207,7 @@ class DeltaMatrix:
     """Sparse matrix of delta between two enumerated bases.
 
     Column j holds delta(domain[j]) expanded over codomain; entries maps
-    (row, col) with 0-based indices to nonzero rationals.  The entries are
-    not changed after construction, so the matrix is eliminated once, on
-    the first call of rank() or kernel().
+    (row, col) with 0-based indices to nonzero rationals.
     """
 
     order: int
@@ -224,16 +222,13 @@ class DeltaMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.codomain), len(self.domain))
 
-    @functools.cached_property
-    def _reduced(self) -> dict[int, dict[int, Fraction]]:
-        return rref(len(self.domain), self.entries)
-
     def rank(self) -> int:
-        return len(self._reduced)
+        return len(rref(len(self.domain), self.entries))
 
     def kernel(self) -> list[dict[int, Fraction]]:
         """Sparse kernel vectors {domain index: coefficient}, one per free column."""
-        return kernel_basis(len(self.domain), self._reduced)
+        n = len(self.domain)
+        return kernel_basis(n, rref(n, self.entries))
 
 
 def delta_matrix(
@@ -313,7 +308,7 @@ def rref(
 def kernel_basis(
     ncols: int, reduced: Mapping[int, Mapping[int, Fraction]]
 ) -> list[dict[int, Fraction]]:
-    """Sparse kernel basis from the output of rref: {f: 1} + {p: -R[p][f]} per free column f."""
+    """Sparse kernel basis from rref output: {f: 1} + {p: -R[p][f]} per free column f, ascending."""
     basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in reduced}
     for p, row in reduced.items():
         for f, v in row.items():

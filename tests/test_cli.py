@@ -337,6 +337,16 @@ def test_check_fail_report(capsys, monkeypatch, tmp_path, suite):
     assert (payload["ok"], payload["results"], payload["witness"]) == (False, results, witness)
 
 
+def test_check_failure_without_witness_still_fails(capsys, monkeypatch):
+    def suite(args, lines):
+        lines.append("ok first step")
+        raise cli._SuiteFailure()
+
+    monkeypatch.setitem(cli.SUITES, "canon", suite)
+    rc, out, _ = run_cli(capsys, "check", "--suite", "canon")
+    assert (rc, out.splitlines()[-2:]) == (1, ["ok first step", "FAIL"])
+
+
 # ---------------------------------------------------------------------------
 # Exit codes.
 # ---------------------------------------------------------------------------
