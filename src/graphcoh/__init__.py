@@ -8,7 +8,7 @@ decorated graphs, contraction evaluation, and the decorated coboundary
 (decorated); and a reporting CLI (cli).
 """
 
-from .canonical import GraphClass, canonicalize, canonicalize_with_witness, self_symmetries
+from .canonical import GraphClass, canonicalize, self_symmetries
 from .coboundary import Cochain, cocycle_basis, contract_edge, delta, delta_matrix
 from .decorated import (
     DecoratedChain,

@@ -13,8 +13,11 @@ collecting the signs of all group elements that reach the canonical form.
 
 The search is exhaustive over vertex permutations (intended for V <= 8).
 The orientation of each edge and, in EDGE_RENUMBERING mode, the edge order
-are forced once the vertex permutation is fixed, so a vectorized sweep over
-the permutation table settles minimum, sign and zero detection at once.
+are forced once the vertex permutation is fixed, so the group acts on rows:
+pair ids in edge order (LITERAL), or pair multiplicity vectors, where the
+greatest vector gives the least flattened edge list.  _act and _signs are
+that action and its sign; canonicalize moves one row by every permutation,
+and enumeration moves every row of a cell by one permutation at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import EMPTY_GRAPH, GraphSkeleton, SymmetryMode, grading, permutation_parity
+from .graphs import GraphSkeleton, SymmetryMode, grading, permutation_parity
 
 _LARGE_FACTORIAL_GUARD = 8  # exhaustive search is meant for V <= 8
 
@@ -102,41 +105,12 @@ def _perm_tables(v: int) -> _PermTables:
     return _PermTables(v)
 
 
-def _candidates(g: GraphSkeleton, mode: SymmetryMode):
-    """Key matrix (one row per vertex permutation), stored reversal count, tables.
-
-    Rows are comparable with numpy lexicographic order so that the minimal
-    row is the canonical form.  In EDGE_RENUMBERING mode the flattened edge
-    list is minimal when the pair multiplicity vector is lexicographically
-    maximal (small pairs soak up multiplicity first), so the multiplicity
-    rows are negated to reuse the minimum search.
-    """
-    tables = _perm_tables(g.vertex_count)
-    pid = np.array(
-        [tables.pair_id[(t, h) if t < h else (h, t)] for t, h in g.edges],
-        dtype=np.int16,
-    )
-    stored_reversals = sum(1 for t, h in g.edges if t > h)
+def _row_of(g: GraphSkeleton, mode: SymmetryMode, tables: _PermTables) -> np.ndarray:
+    """Pair-id row (LITERAL) or pair multiplicity vector (otherwise) of g."""
+    pid = np.array([tables.pair_id[(t, h) if t < h else (h, t)] for t, h in g.edges], dtype=np.int16)
     if mode is SymmetryMode.LITERAL:
-        cand = tables.pair_map[:, pid]
-        flips = tables.pair_flip[:, pid].sum(axis=1)
-    else:
-        mvec = np.bincount(pid, minlength=len(tables.pairs)).astype(np.int16)
-        cand = -mvec[tables.pair_map_inv]
-        flips = tables.pair_flip.astype(np.int16) @ mvec
-    return cand, flips, stored_reversals, tables
-
-
-def _row_lex_min(cand: np.ndarray) -> tuple[int, np.ndarray]:
-    """Index of the lexicographically least row (stable) and the tie mask."""
-    if cand.shape[1] == 0:
-        return 0, np.ones(cand.shape[0], dtype=bool)
-    order = np.lexsort(cand.T[::-1])
-    best = int(order[0])
-    ties = (cand == cand[best]).all(axis=1)
-    # lexsort is stable, but make the witness the smallest index explicitly
-    best = int(np.nonzero(ties)[0][0])
-    return best, ties
+        return pid
+    return np.bincount(pid, minlength=len(tables.pairs)).astype(np.int16)
 
 
 def _skeleton_from_row(v: int, row, mode: SymmetryMode, pairs) -> GraphSkeleton:
@@ -148,16 +122,47 @@ def _skeleton_from_row(v: int, row, mode: SymmetryMode, pairs) -> GraphSkeleton:
     return GraphSkeleton(v, edges)
 
 
+def _act(tables: _PermTables, mode: SymmetryMode, rows: np.ndarray, g) -> np.ndarray:
+    """Rows moved by vertex permutation g: one index, or slice(None) for all.
+
+    Either many rows meet one permutation, or one row meets every
+    permutation; the result has one moved row per (row, permutation).
+    """
+    if mode is SymmetryMode.LITERAL:
+        return tables.pair_map[g][..., rows]
+    return rows[..., tables.pair_map_inv[g]]
+
+
+def _signs(tables: _PermTables, mode: SymmetryMode, rows: np.ndarray, g, reversals: int = 0):
+    """Signs of the moves made by _act: the parity of g times -1 for every
+    edge reversal it forces, plus `reversals` already stored in the rows."""
+    flip = tables.pair_flip[g]
+    if mode is SymmetryMode.LITERAL:
+        flips = flip[..., rows].sum(axis=-1)
+    else:
+        flips = rows.astype(np.int16) @ flip.T
+    return tables.parity[g] * (1 - 2 * ((flips + reversals) & 1))
+
+
+def _canonical_ties(mode: SymmetryMode, cand: np.ndarray) -> np.ndarray:
+    """Mask of the rows equal to the canonical one: the least pair-id row in
+    LITERAL mode, else the greatest multiplicity vector."""
+    order = np.lexsort(cand.T[::-1]) if cand.shape[1] else [0]
+    best = cand[order[0] if mode is SymmetryMode.LITERAL else order[-1]]
+    return (cand == best).all(axis=1)
+
+
 @functools.lru_cache(maxsize=1 << 18)
 def _canonicalize_cached(g: GraphSkeleton, mode: SymmetryMode):
-    cand, flips, stored_reversals, tables = _candidates(g, mode)
-    best, ties = _row_lex_min(cand)
-    reversal_parity = (flips + stored_reversals) & 1
-    signs = tables.parity * (1 - 2 * reversal_parity).astype(np.int8)
-    tie_signs = set(int(s) for s in signs[ties])
-    row = cand[best] if mode is SymmetryMode.LITERAL else -cand[best]
-    skeleton = _skeleton_from_row(g.vertex_count, row, mode, tables.pairs)
-    sign_state = 0 if tie_signs == {1, -1} else tie_signs.pop()
+    tables = _perm_tables(g.vertex_count)
+    row = _row_of(g, mode, tables)
+    cand = _act(tables, mode, row, slice(None))
+    signs = _signs(tables, mode, row, slice(None), sum(1 for t, h in g.edges if t > h))
+    ties = _canonical_ties(mode, cand)
+    best = int(ties.argmax())  # the first permutation reaching the canonical row
+    tie_signs = set(signs[ties].tolist())
+    skeleton = _skeleton_from_row(g.vertex_count, cand[best], mode, tables.pairs)
+    sign_state = 0 if len(tie_signs) == 2 else tie_signs.pop()
     return GraphClass(skeleton, sign_state, mode), tables.perms[best], int(signs[best])
 
 
@@ -167,21 +172,8 @@ def canonicalize(g: GraphSkeleton, mode: SymmetryMode = SymmetryMode.LITERAL) ->
     The returned sign_state satisfies  g = sign_state * canonical  in the
     graph algebra, or is 0 when the class is zero.
     """
-    if g.vertex_count == 0:
-        return GraphClass(EMPTY_GRAPH, 1, mode)
     cls, _, _ = _canonicalize_cached(g, mode)
     return cls
-
-
-def canonicalize_with_witness(
-    g: GraphSkeleton, mode: SymmetryMode = SymmetryMode.LITERAL
-) -> tuple[GraphClass, tuple[int, ...]]:
-    """Like canonicalize, also returning the lexicographically first vertex
-    permutation that carries g onto the canonical skeleton."""
-    if g.vertex_count == 0:
-        return GraphClass(EMPTY_GRAPH, 1, mode), ()
-    cls, perm, _ = _canonicalize_cached(g, mode)
-    return cls, perm
 
 
 def transport_to_canonical(
@@ -195,8 +187,6 @@ def transport_to_canonical(
     classes, which makes it usable for transporting decorated terms onto a
     shared representative deterministically.
     """
-    if g.vertex_count == 0:
-        return GraphClass(EMPTY_GRAPH, 1, mode), (), 1
     return _canonicalize_cached(g, mode)
 
 
@@ -210,18 +200,8 @@ def self_symmetries(g: GraphSkeleton, mode: SymmetryMode = SymmetryMode.LITERAL)
     """
     if any(t > h for t, h in g.edges):
         raise ValueError("self_symmetries expects every edge oriented tail < head")
-    if g.vertex_count == 0:
-        return [((), 1)]
-    cand, flips, stored_reversals, tables = _candidates(g, mode)
-    own = cand[0]  # identity is the first permutation
-    fixing = (cand == own).all(axis=1)
-    reversal_parity = (flips + stored_reversals) & 1
-    signs = tables.parity * (1 - 2 * reversal_parity).astype(np.int8)
-    return [
-        (tables.perms[i], int(signs[i]))
-        for i in np.nonzero(fixing)[0]
-    ]
-
-
-def clear_canonical_cache() -> None:
-    _canonicalize_cached.cache_clear()
+    tables = _perm_tables(g.vertex_count)
+    row = _row_of(g, mode, tables)
+    fixing = (_act(tables, mode, row, slice(None)) == row).all(axis=1)
+    signs = _signs(tables, mode, row, slice(None))
+    return [(tables.perms[i], int(signs[i])) for i in np.nonzero(fixing)[0]]

@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import random
@@ -232,26 +233,35 @@ def cmd_pairing(args: argparse.Namespace) -> int:
     return 0
 
 
-def _decorations_for(g: GraphSkeleton, refs: list[str]) -> DecoratedGraph:
-    if len(refs) == 1:
-        path = Path(refs[0])
-        text = None if refs[0] in CATALOGUE or not path.exists() else path.read_text()
-        if text is not None and _is_decoration_file(text):
-            mapping = parse_decoration_lines(text)
-            missing = [v for v in range(1, g.vertex_count + 1) if v not in mapping]
-            if missing:
-                raise GraphCohError(
-                    f"decoration file lacks vertices {missing} for a graph with "
-                    f"{g.vertex_count} vertices"
-                )
-            return decorate(g, [load_tensor(mapping[v]) for v in range(1, g.vertex_count + 1)])
-        return decorate_uniform(g, load_tensor(refs[0]))
-    if len(refs) != g.vertex_count:
+def _resolve_tensors(refs: list[str]) -> dict[int, EquivariantTensor] | list[EquivariantTensor]:
+    """Read every --tensor reference once: a decoration file's {vertex: tensor}, else the tensors."""
+    load = functools.cache(load_tensor)
+    path = Path(refs[0])
+    if len(refs) == 1 and refs[0] not in CATALOGUE and path.exists():
+        text = path.read_text()
+        if _is_decoration_file(text):
+            return {v: load(ref) for v, ref in parse_decoration_lines(text).items()}
+        return [parse_tensor(text, label=path.stem)]
+    return [load(ref) for ref in refs]
+
+
+def _decorations_for(g: GraphSkeleton, tensors) -> DecoratedGraph:
+    if isinstance(tensors, dict):
+        missing = [v for v in range(1, g.vertex_count + 1) if v not in tensors]
+        if missing:
+            raise GraphCohError(
+                f"decoration file lacks vertices {missing} for a graph with "
+                f"{g.vertex_count} vertices"
+            )
+        return decorate(g, [tensors[v] for v in range(1, g.vertex_count + 1)])
+    if len(tensors) == 1:
+        return decorate_uniform(g, tensors[0])
+    if len(tensors) != g.vertex_count:
         raise GraphCohError(
             f"need one --tensor per vertex ({g.vertex_count}) or a single "
-            f"uniform/decoration-file reference, got {len(refs)}"
+            f"uniform/decoration-file reference, got {len(tensors)}"
         )
-    return decorate(g, [load_tensor(r) for r in refs])
+    return decorate(g, tensors)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -260,10 +270,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not args.tensor:
         raise GraphCohError("eval needs at least one --tensor")
     text = "\n\n".join(Path(p).read_text() for p in args.inputs)
+    tensors = _resolve_tensors(args.tensor)
     lines = ["# graphcoh eval", f"# mode {args.mode.value}"]
     values = {}
     for k, g in enumerate(parse_graphs(text), start=1):
-        value = evaluate(_decorations_for(g, args.tensor))
+        value = evaluate(_decorations_for(g, tensors))
         values[f"g{k}"] = value
         lines.append(f"g{k}\t{scalar_str(value)}")
     payload = {
@@ -442,6 +453,13 @@ SUITES = {
     "multiplicities": suite_multiplicities,
     "decorated-delta2": suite_decorated_delta2,
 }
+# check options by destination: the flag and the suites that read it.  Giving
+# one to any other suite is a usage error, as an ignored flag would be.
+SUITE_OPTIONS = {
+    "tol": ("--tol", ("ihx", "decorated-delta2")),
+    "cap": ("--cap", ("delta2", "canon", "decorated-delta2")),
+    "order": ("--order/--max-order", ("delta2",)),
+}
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -547,7 +565,13 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "check":
+        for dest, (flag, readers) in SUITE_OPTIONS.items():
+            if getattr(args, dest) is not None and args.suite not in readers:
+                parser.exit(2, f"graphcoh check: {flag} is read only by the suites "
+                               f"{', '.join(readers)}, not {args.suite}\n")
     if getattr(args, "mode", None):
         args.mode = SymmetryMode.parse(args.mode)
     try:

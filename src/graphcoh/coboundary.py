@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .canonical import GraphClass, canonicalize
-from .enumeration import enumerate_grading, resolve_cap
+from .enumeration import enumerate_grading
 from .errors import DegenerateContraction, FormatError, NotRegular
 from .graphs import GraphSkeleton, SymmetryMode, regular_edges
 
@@ -240,7 +240,6 @@ def delta_matrix(
     cap: int | None = None,
 ) -> DeltaMatrix:
     """Matrix of delta from grading (order, degree) to (order, degree + 1)."""
-    cap = resolve_cap(cap)
     domain = tuple(enumerate_grading(order, degree, connected=connected, mode=mode, cap=cap))
     codomain = tuple(enumerate_grading(order, degree + 1, connected=connected, mode=mode, cap=cap))
     index = {cls: i for i, cls in enumerate(codomain)}
@@ -353,6 +352,26 @@ def format_matrix(dm: DeltaMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _index(ln: int, token: str, n: int | None = None) -> int:
+    """0-based position of a 1-based index token, which must lie in 1..n (n None: unbounded)."""
+    try:
+        k = int(token)
+    except ValueError:
+        raise FormatError(ln, f"index {token!r} is not an integer") from None
+    if k < 1:
+        raise FormatError(ln, f"indices start at 1, got {k}")
+    if n is not None and k > n:
+        raise FormatError(ln, f"index {k} is past the last of {n}")
+    return k - 1
+
+
+def _coefficient(ln: int, token: str) -> Fraction:
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise FormatError(ln, f"coefficient {token!r} is not a rational number") from None
+
+
 def parse_matrix(text: str) -> dict[tuple[int, int], Fraction]:
     """Read the sparse triples back (0-based keys); comments are skipped."""
     entries: dict[tuple[int, int], Fraction] = {}
@@ -363,7 +382,7 @@ def parse_matrix(text: str) -> dict[tuple[int, int], Fraction]:
         parts = raw.split()
         if len(parts) != 3:
             raise FormatError(ln, f"expected 'row col value', got {raw!r}")
-        entries[(int(parts[0]) - 1, int(parts[1]) - 1)] = Fraction(parts[2])
+        entries[(_index(ln, parts[0]), _index(ln, parts[1]))] = _coefficient(ln, parts[2])
     return entries
 
 
@@ -384,6 +403,6 @@ def parse_cochain(text: str, basis: Sequence[GraphClass]) -> Cochain:
         parts = raw.split("\t")
         if len(parts) != 2 or not parts[1].startswith("g"):
             raise FormatError(ln, f"expected 'coeff<TAB>g<k>', got {raw!r}")
-        cls = basis[int(parts[1][1:]) - 1]
-        terms[cls] = terms.get(cls, Fraction(0)) + Fraction(parts[0])
+        cls = basis[_index(ln, parts[1][1:], len(basis))]
+        terms[cls] = terms.get(cls, Fraction(0)) + _coefficient(ln, parts[0])
     return Cochain(terms)

@@ -22,26 +22,23 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 
 import numpy as np
 
-from .canonical import _LARGE_FACTORIAL_GUARD, GraphClass, _perm_tables, _skeleton_from_row
+from .canonical import _LARGE_FACTORIAL_GUARD, GraphClass, _act, _perm_tables, _signs, _skeleton_from_row
 from .errors import BasisTooLarge
 from .graphs import SymmetryMode, counts_for_grading, is_connected
 
 DEFAULT_CAP = 200_000
-CAP_ENV_VAR = "GRAPHCOH_CAP"
 
 _UNIVERSE_FACTOR = 50  # labeled universe may be this many times the cap
 _COMPACT_EVERY = 32  # drop dead rows from the bulk sweep this often
 
 
 def resolve_cap(cap: int | None = None) -> int:
-    """Explicit cap, else the GRAPHCOH_CAP environment variable, else default."""
+    """The explicit cap, else DEFAULT_CAP."""
     if cap is None:
-        env = os.environ.get(CAP_ENV_VAR)
-        cap = int(env) if env else DEFAULT_CAP
+        cap = DEFAULT_CAP
     if cap <= 0:
         raise ValueError(f"cap must be positive, got {cap}")
     return cap
@@ -119,41 +116,28 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _bulk_survivors(arr: np.ndarray, mode: SymmetryMode, tables):
     """Canonical rows of the labeled universe plus their zero-class flags.
 
-    LITERAL canonical rows are lexicographic minima over the permutation
-    action; EDGE_RENUMBERING rows are multiplicity vectors, where the least
-    flattened sorted edge list corresponds to the lexicographically
-    greatest vector.
+    A row survives when no permutation moves it to a more canonical row
+    (see canonical._canonical_ties: lexicographically least in LITERAL
+    mode, greatest otherwise).  Zero detection then runs over the
+    survivors only.
     """
-    nperm = len(tables.perms)
     literal = mode is SymmetryMode.LITERAL
-
-    def permuted(rows: np.ndarray, g: int) -> np.ndarray:
-        return tables.pair_map[g][rows] if literal else rows[:, tables.pair_map_inv[g]]
-
     live = arr
     mask = np.ones(live.shape[0], dtype=bool)
-    for g in range(1, nperm):
-        moved = permuted(live, g)
+    for g in range(1, len(tables.perms)):
+        moved = _act(tables, mode, live, g)
         mask &= ~(_lex_less(moved, live) if literal else _lex_less(live, moved))
         if g % _COMPACT_EVERY == 0 and not mask.all():
             live = live[mask]
             mask = np.ones(live.shape[0], dtype=bool)
     live = live[mask]
 
-    # Zero detection: collect signs of the permutations fixing each survivor.
+    # Zero detection: a survivor is zero when a permutation fixing it has sign -1.
     zero = np.zeros(live.shape[0], dtype=bool)
-    for g in range(1, nperm):
-        eq = (permuted(live, g) == live).all(axis=1)
-        if not eq.any():
-            continue
-        if literal:
-            flips = tables.pair_flip[g][live[eq]].sum(axis=1)
-        else:
-            flips = live[eq].astype(np.int16) @ tables.pair_flip[g].astype(np.int16)
-        sign = tables.parity[g] * (1 - 2 * (flips & 1))
-        hit = np.zeros_like(zero)
-        hit[eq] = sign == -1
-        zero |= hit
+    for g in range(1, len(tables.perms)):
+        eq = (_act(tables, mode, live, g) == live).all(axis=1)
+        if eq.any():
+            zero[eq] |= _signs(tables, mode, live[eq], g) == -1
     return live, zero
 
 
@@ -213,8 +197,6 @@ def enumerate_grading(
 ) -> list[GraphClass]:
     """Basis of nonzero classes at (order, degree), sorted deterministically."""
     v, e = counts_for_grading(order, degree)
-    if v < 0 or e < 0:
-        return []
     return enumerate_by_counts(v, e, connected=connected, mode=mode, cap=cap)
 
 

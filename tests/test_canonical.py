@@ -8,8 +8,6 @@ import oracles
 from graphcoh.canonical import (
     GraphClass,
     canonicalize,
-    canonicalize_with_witness,
-    clear_canonical_cache,
     self_symmetries,
     transport_to_canonical,
 )
@@ -150,13 +148,6 @@ def test_witness_transports_onto_the_canonical_skeleton(mode, g):
         assert wsign == canonicalize(g, mode).sign_state
 
 
-def test_canonicalize_with_witness_matches_transport():
-    g = new_graph(2, [(2, 1), (2, 1), (2, 1)])
-    cls, perm = canonicalize_with_witness(g, SymmetryMode.LITERAL)
-    cls2, perm2, _ = transport_to_canonical(g, SymmetryMode.LITERAL)
-    assert (cls, perm) == (cls2, perm2)
-
-
 def test_witness_is_defined_for_vanishing_classes():
     g = new_graph(2, [(1, 2), (1, 2)])
     cls, perm, wsign = transport_to_canonical(g, SymmetryMode.LITERAL)
@@ -213,13 +204,6 @@ def test_classes_hash_consistently():
     assert a.basis_class() == b
     assert hash(a.basis_class()) == hash(b)
     assert len({a.basis_class(), b}) == 1
-
-
-def test_cache_can_be_cleared():
-    canonicalize(theta_graph(), SymmetryMode.LITERAL)
-    clear_canonical_cache()
-    cls = canonicalize(theta_graph(), SymmetryMode.LITERAL)
-    assert cls.skeleton == theta_graph()
 
 
 def test_modes_kept_apart():

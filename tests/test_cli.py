@@ -211,6 +211,38 @@ def test_eval_decoration_file_must_cover_all_vertices(capsys, tmp_path):
     assert "lacks vertices" in err
 
 
+@pytest.mark.parametrize(
+    "refs, read",
+    [
+        (["DEC"], ["decorations.txt", "eps.txt", "graphs.txt"]),
+        (["TENSOR"], ["eps.txt", "graphs.txt"]),
+        (["TENSOR", "TENSOR"], ["eps.txt", "graphs.txt"]),
+    ],
+)
+def test_eval_reads_each_file_once(capsys, monkeypatch, tmp_path, refs, read):
+    """Tensor and decoration files are resolved once, not once per graph."""
+    graph_file = tmp_path / "graphs.txt"
+    graph_file.write_text(format_graphs([theta_graph()] * 3))
+    tensor_file = tmp_path / "eps.txt"
+    tensor_file.write_text(format_tensor(eps_tensor()))
+    dec_file = tmp_path / "decorations.txt"
+    dec_file.write_text(f"vertex 1 tensor {tensor_file}\nvertex 2 tensor {tensor_file}\n")
+    files = {"DEC": str(dec_file), "TENSOR": str(tensor_file)}
+    reads = []
+    read_text = Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        reads.append(self.name)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    tensor_args = [x for r in refs for x in ("--tensor", files[r])]
+    rc, out, _ = run_cli(capsys, "eval", "--in", str(graph_file), *tensor_args)
+    assert rc == 0
+    assert out.splitlines()[-3:] == ["g1\t6", "g2\t6", "g3\t6"]
+    assert sorted(reads) == read
+
+
 # ---------------------------------------------------------------------------
 # Validation suites.
 # ---------------------------------------------------------------------------
@@ -400,20 +432,51 @@ SUBCOMMAND_ARGV = {
     "pairing": ["pairing", "--tensor", "eps", "--tensor", "eps"],
     "eval": ["eval", "--in", "graphs.txt", "--tensor", "eps"],
 }
-FLAG_VALUES = {"--tol": "1e-9", "--cap": "10", "--mode": "literal"}
+SUBCOMMAND_ARGV.update({f"check-{s}": ["check", "--suite", s] for s in cli.SUITES})
+FLAG_VALUES = {"--tol": "1e-9", "--cap": "10", "--mode": "literal", "--order": "1",
+               "--max-order": "1"}
+SUITE_READERS = {
+    "--tol": "--tol is read only by the suites ihx, decorated-delta2",
+    "--cap": "--cap is read only by the suites delta2, canon, decorated-delta2",
+    "--order": "--order/--max-order is read only by the suites delta2",
+    "--max-order": "--order/--max-order is read only by the suites delta2",
+}
 
 
 @pytest.mark.parametrize(
     "command, flag",
     [(c, "--tol") for c in ("enumerate", "delta", "cocycles", "mult", "pairing", "eval")]
     + [(c, "--cap") for c in ("mult", "pairing", "eval")]
-    + [(c, "--mode") for c in ("mult", "pairing")],
+    + [(c, "--mode") for c in ("mult", "pairing")]
+    + [(f"check-{s}", "--tol") for s in ("delta2", "canon", "multiplicities")]
+    + [(f"check-{s}", "--cap") for s in ("ihx", "multiplicities")]
+    + [(f"check-{s}", flag) for s in ("canon", "ihx", "multiplicities", "decorated-delta2")
+       for flag in ("--order", "--max-order")],
 )
 def test_flags_a_subcommand_ignores_are_refused(capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
         main(SUBCOMMAND_ARGV[command] + [flag, FLAG_VALUES[flag]])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if command.startswith("check-"):
+        suite = command.removeprefix("check-")
+        assert err == f"graphcoh check: {SUITE_READERS[flag]}, not {suite}\n"
+    else:
+        assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "delta2", "--max-order", "1", "--cap", "100000"],
+        ["--suite", "canon", "--mode", "edge-renumbering", "--cap", "1000"],
+        ["--suite", "ihx", "--tol", "1e-9"],
+        ["--suite", "decorated-delta2", "--tol", "1e-9", "--cap", "1000"],
+    ],
+)
+def test_flags_a_suite_reads_are_accepted(capsys, argv):
+    rc, out, err = run_cli(capsys, "check", *argv)
+    assert (rc, err, out.splitlines()[-1]) == (0, "", "PASS")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from graphcoh.coboundary import (
     parse_matrix,
     rref,
 )
-from graphcoh.errors import BasisTooLarge, DegenerateContraction, NotRegular
+from graphcoh.errors import BasisTooLarge, DegenerateContraction, FormatError, NotRegular
 from graphcoh.graphs import (
     SymmetryMode,
     grading,
@@ -442,3 +442,30 @@ def test_cochain_format_round_trip():
     c = Cochain({basis[0]: Fraction(3, 2), basis[5]: Fraction(-1)})
     text = format_cochain(c, index_of)
     assert parse_cochain(text, basis) == c
+
+
+@pytest.mark.parametrize(
+    "parse, line",
+    [
+        ("cochain", "1/1\tg0"),
+        ("cochain", "1/1\tg2"),
+        ("cochain", "1/1\tg9"),
+        ("cochain", "1/1\tgx"),
+        ("cochain", "1/1\tg"),
+        ("cochain", "x\tg1"),
+        ("cochain", "1/0\tg1"),
+        ("matrix", "0 0 1/1"),
+        ("matrix", "1 -2 1/1"),
+        ("matrix", "1.5 1 1/1"),
+        ("matrix", "a 1 1/1"),
+        ("matrix", "1 1 q"),
+    ],
+)
+def test_bad_indices_and_coefficients_are_format_errors(parse, line):
+    """Every line is rejected with its line number, never read as another entry."""
+    basis = [canonicalize(theta_graph())]
+    with pytest.raises(FormatError, match="^line 2: "):
+        if parse == "cochain":
+            parse_cochain(f"1/1\tg1\n{line}\n", basis)
+        else:
+            parse_matrix(f"1 1 1/1\n{line}\n")

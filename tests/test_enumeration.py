@@ -182,11 +182,10 @@ def test_edge_multiplicities_past_255_enumerate(edges, count):
     assert [c.skeleton for c in classes] == [GraphSkeleton(2, ((1, 2),) * edges)] * count
 
 
-def test_resolve_cap_precedence(monkeypatch):
-    monkeypatch.delenv("GRAPHCOH_CAP", raising=False)
+def test_resolve_cap_precedence():
     assert resolve_cap() == DEFAULT_CAP
-    monkeypatch.setenv("GRAPHCOH_CAP", "123")
-    assert resolve_cap() == 123
     assert resolve_cap(77) == 77
     with pytest.raises(ValueError):
         resolve_cap(0)
+    with pytest.raises(ValueError):
+        enumerate_grading(0, 5, cap=0)  # no class at this grading, but the cap is still checked

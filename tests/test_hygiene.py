@@ -5,12 +5,15 @@ src/graphcoh/ and each script under scripts/, and fails on imported names
 that are never referenced (the package __init__, which re-exports, is
 exempt).  It also fails on module-level functions, classes and constants
 of src/graphcoh/ that nothing in src/, tests/ or scripts/ names outside
-their own definition (dunder names are exempt).
+their own definition (dunder names are exempt), and on package names the
+benchmark's tracer wraps or reads that no longer exist.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -107,3 +110,23 @@ def test_unreferenced_definition_is_detected(tmp_path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_unreferenced_definitions(path):
     assert unreferenced_definitions(path, SOURCES) == []
+
+
+def test_benchmark_tracer_hooks_resolve():
+    """Every function perfbench/tracer.py wraps or reads still exists.
+
+    A renamed function would only show in the trace's `missing_wrappers`
+    and leave its per-layer metrics at 0.
+    """
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for home, names in tracer.LAYERS.values():
+        module = importlib.import_module(home)
+        for qual in names:
+            owner = module
+            for attr in qual.split("."):
+                assert hasattr(owner, attr), f"{home}.{qual}"
+                owner = getattr(owner, attr)
+    canonical = importlib.import_module("graphcoh.canonical")
+    assert callable(canonical._canonicalize_cached.cache_info)
