@@ -71,27 +71,24 @@ class _PermTables:
 
     def __init__(self, v: int):
         perm_list = list(itertools.permutations(range(1, v + 1)))
-        g = len(perm_list)
         self.perms = perm_list  # lex order, identity first
         self.parity = np.array([permutation_parity(perm) for perm in perm_list], dtype=np.int8)
         pairs = [(u, w) for u in range(1, v + 1) for w in range(u + 1, v + 1)]
         self.pairs = pairs
         self.pair_id = {p: i for i, p in enumerate(pairs)}
         p = len(pairs)
-        pair_map = np.empty((g, p), dtype=np.uint8)  # p <= 28 pairs for V <= 8
-        pair_flip = np.empty((g, p), dtype=bool)
-        for i, perm in enumerate(perm_list):
-            for pid, (u, w) in enumerate(pairs):
-                a, b = perm[u - 1], perm[w - 1]
-                pair_flip[i, pid] = a > b
-                if a > b:
-                    a, b = b, a
-                pair_map[i, pid] = self.pair_id[(a, b)]
-        self.pair_map = pair_map
-        self.pair_flip = pair_flip
-        pair_map_inv = np.empty_like(pair_map)
-        rows = np.arange(g)[:, None]
-        pair_map_inv[rows, pair_map] = np.arange(p, dtype=np.uint8)[None, :]
+        ids = np.zeros((v + 1, v + 1), dtype=np.uint8)  # p <= 28 pairs for V <= 8
+        for (u, w), i in self.pair_id.items():
+            ids[u, w] = ids[w, u] = i
+        # images of each pair's ends under each permutation, shape (V!, p)
+        images = np.array(perm_list, dtype=np.intp)
+        a = images[:, [u - 1 for u, _ in pairs]]
+        b = images[:, [w - 1 for _, w in pairs]]
+        self.pair_map = ids[a, b]
+        self.pair_flip = a > b
+        pair_map_inv = np.empty_like(self.pair_map)
+        rows = np.arange(len(perm_list))[:, None]
+        pair_map_inv[rows, self.pair_map] = np.arange(p, dtype=np.uint8)[None, :]
         self.pair_map_inv = pair_map_inv
 
 

@@ -37,7 +37,7 @@ from .decorated import (
     parse_decoration_lines,
 )
 from .enumeration import enumerate_grading, enumerate_trivalent
-from .errors import GraphCohError
+from .errors import GraphCohError, _data_lines
 from .graphs import (
     GraphSkeleton,
     SymmetryMode,
@@ -107,12 +107,7 @@ def load_tensor(ref: str) -> EquivariantTensor:
 
 
 def _is_decoration_file(text: str) -> bool:
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        return line.startswith("vertex ")
-    return False
+    return next(_data_lines(text), (0, ""))[1].startswith("vertex ")
 
 
 def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> None:

@@ -10,7 +10,9 @@ merges the endpoints into min(i, j), shifts vertex numbers above
 max(i, j) down by one, deletes edge e and shifts higher edge numbers down
 by one.  delta raises the degree by one and keeps the order, and squares
 to zero on classes; both facts are exercised by the test suite rather than
-assumed.
+assumed.  This module owns that contraction: _contract is the only code
+that builds a contracted edge list or renumbers vertices, and
+contract_edge, delta and the decorated delta all call it.
 
 Ranks and kernels are computed over exact rationals by one sparse
 Gauss-Jordan pass over the matrix's own (row, col) entries: columns are
@@ -23,13 +25,14 @@ affects fill-in; everything is deterministic for fixed bases.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .canonical import GraphClass, canonicalize
 from .enumeration import enumerate_grading
-from .errors import DegenerateContraction, FormatError, NotRegular
+from .errors import DegenerateContraction, FormatError, NotRegular, _data_lines
 from .graphs import GraphSkeleton, SymmetryMode, regular_edges
 
 
@@ -38,13 +41,29 @@ def contraction_sign(i: int, j: int) -> int:
     return (-1) ** j if j > i else (-1) ** (i + 1)
 
 
+def _contract(
+    g: GraphSkeleton, e: int, valences: Sequence[int]
+) -> tuple[GraphSkeleton | None, int, list[int]]:
+    """Contract edge e of g: (skeleton, sign, new), new[u-1] being the new
+    number of old vertex u.  The skeleton is None when both endpoints have
+    valence 1 (a bare vertex is not a graph); callers check e is regular."""
+    i, j = g.edges[e - 1]
+    lo, hi = (i, j) if i < j else (j, i)
+    new = [u - 1 if u > hi else u for u in range(1, g.vertex_count + 1)]
+    new[hi - 1] = lo
+    sign = contraction_sign(i, j)
+    if valences[i - 1] == valences[j - 1] == 1:
+        return None, sign, new
+    edges = tuple((new[t - 1], new[h - 1]) for t, h in g.edges[: e - 1] + g.edges[e:])
+    return GraphSkeleton(g.vertex_count - 1, edges), sign, new
+
+
 def contract_edge(g: GraphSkeleton, e: int) -> tuple[GraphSkeleton, int]:
     """Contract regular edge number e; returns the new skeleton and the sign.
 
-    The merged vertex takes the number min(i, j); numbers above max(i, j)
-    close the gap.  Raises NotRegular when another edge joins the same
-    endpoints, DegenerateContraction when both endpoints have valence 1
-    (the result would be a bare vertex, which is not a graph here).
+    Raises NotRegular when another edge joins the same endpoints,
+    DegenerateContraction when both endpoints have valence 1 (the result
+    would be a bare vertex, which is not a graph here).
     """
     if not (1 <= e <= g.edge_count):
         raise ValueError(f"no edge {e} in a graph with {g.edge_count} edges")
@@ -52,22 +71,10 @@ def contract_edge(g: GraphSkeleton, e: int) -> tuple[GraphSkeleton, int]:
     pair = (i, j) if i < j else (j, i)
     if g.pair_multiplicities()[pair] != 1:
         raise NotRegular(e, f"vertices {pair[0]} and {pair[1]} are joined more than once")
-    val = g.valences()
-    if val[i - 1] == 1 and val[j - 1] == 1:
+    contracted, sign, _ = _contract(g, e, g.valences())
+    if contracted is None:
         raise DegenerateContraction(e)
-    lo, hi = pair
-
-    def relabel(u: int) -> int:
-        if u == i or u == j:
-            return lo
-        return u - 1 if u > hi else u
-
-    new_edges = tuple(
-        (relabel(t), relabel(h))
-        for k, (t, h) in enumerate(g.edges, start=1)
-        if k != e
-    )
-    return GraphSkeleton(g.vertex_count - 1, new_edges), contraction_sign(i, j)
+    return contracted, sign
 
 
 class Cochain:
@@ -169,22 +176,22 @@ class Cochain:
 
 
 @functools.lru_cache(maxsize=1 << 17)
-def _delta_of_class(graph_class: GraphClass) -> Cochain:
+def _delta_of_class(graph_class: GraphClass) -> dict[GraphClass, Fraction]:
+    """delta of one basis class as {basis class: nonzero coefficient}; callers must not mutate it."""
     g = graph_class.skeleton
-    mode = graph_class.mode
+    valences = g.valences()
     acc: dict[GraphClass, Fraction] = {}
     for e in regular_edges(g):
-        try:
-            contracted, sign = contract_edge(g, e)
-        except DegenerateContraction:
+        contracted, sign, _ = _contract(g, e, valences)
+        if contracted is None:
             # the would-be bare vertex is not a graph; its class is zero here
             continue
-        cls = canonicalize(contracted, mode)
+        cls = canonicalize(contracted, graph_class.mode)
         if cls.is_zero:
             continue
         key = cls.basis_class()
         acc[key] = acc.get(key, Fraction(0)) + sign * cls.sign_state
-    return Cochain(acc)
+    return {k: v for k, v in acc.items() if v}
 
 
 def delta(c: Cochain | GraphClass) -> Cochain:
@@ -193,7 +200,7 @@ def delta(c: Cochain | GraphClass) -> Cochain:
         c = Cochain.from_class(c)
     acc: dict[GraphClass, Fraction] = {}
     for cls, coeff in c._terms.items():
-        for target, v in _delta_of_class(cls)._terms.items():
+        for target, v in _delta_of_class(cls).items():
             acc[target] = acc.get(target, Fraction(0)) + coeff * v
     out = Cochain(acc)
     if not c.is_zero and not out.is_zero:
@@ -245,8 +252,7 @@ def delta_matrix(
     index = {cls: i for i, cls in enumerate(codomain)}
     entries: dict[tuple[int, int], Fraction] = {}
     for col, cls in enumerate(domain):
-        image = _delta_of_class(cls)
-        for target, coeff in image.terms.items():
+        for target, coeff in _delta_of_class(cls).items():
             row = index.get(target)
             if row is None:
                 raise AssertionError(
@@ -335,7 +341,8 @@ def cocycle_basis(
 
 # ---------------------------------------------------------------------------
 # Text exports.  Indices are 1-based in files, matching vertex and edge
-# numbering everywhere else.
+# numbering everywhere else; lines are read by the shared rule of
+# errors._data_lines (blank and '#' lines are skipped).
 # ---------------------------------------------------------------------------
 
 
@@ -373,16 +380,17 @@ def _coefficient(ln: int, token: str) -> Fraction:
 
 
 def parse_matrix(text: str) -> dict[tuple[int, int], Fraction]:
-    """Read the sparse triples back (0-based keys); comments are skipped."""
+    """Read the sparse triples back (0-based keys); comments are skipped.
+    A `# rows R cols C` line bounds the indices from above; all start at 1."""
+    shape = re.search(r"^[ \t]*# rows (\d+) cols (\d+)[ \t]*$", text, re.MULTILINE)
+    rows, cols = (int(shape[1]), int(shape[2])) if shape else (None, None)
     entries: dict[tuple[int, int], Fraction] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        raw = raw.strip()
-        if not raw or raw.startswith("#"):
-            continue
-        parts = raw.split()
+    for ln, line in _data_lines(text):
+        parts = line.split()
         if len(parts) != 3:
-            raise FormatError(ln, f"expected 'row col value', got {raw!r}")
-        entries[(_index(ln, parts[0]), _index(ln, parts[1]))] = _coefficient(ln, parts[2])
+            raise FormatError(ln, f"expected 'row col value', got {line!r}")
+        key = (_index(ln, parts[0], rows), _index(ln, parts[1], cols))
+        entries[key] = _coefficient(ln, parts[2])
     return entries
 
 
@@ -396,13 +404,10 @@ def format_cochain(c: Cochain, index_of: Mapping[GraphClass, int]) -> str:
 
 def parse_cochain(text: str, basis: Sequence[GraphClass]) -> Cochain:
     terms: dict[GraphClass, Fraction] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        raw = raw.strip()
-        if not raw or raw.startswith("#"):
-            continue
-        parts = raw.split("\t")
+    for ln, line in _data_lines(text):
+        parts = line.split("\t")
         if len(parts) != 2 or not parts[1].startswith("g"):
-            raise FormatError(ln, f"expected 'coeff<TAB>g<k>', got {raw!r}")
+            raise FormatError(ln, f"expected 'coeff<TAB>g<k>', got {line!r}")
         cls = basis[_index(ln, parts[1][1:], len(basis))]
         terms[cls] = terms.get(cls, Fraction(0)) + _coefficient(ln, parts[0])
     return Cochain(terms)

@@ -10,12 +10,15 @@ pairing and returns the resulting scalar; it is independent of the
 contraction order, of edge orientations, and multiplies over disjoint
 unions.
 
-delta_decorated mirrors the skeleton-level coboundary: for each regular
-edge it contracts the two endpoint tensors along the edge's slots and then
-permutes the merged tensor's slots to realign with the contracted
-skeleton's half-edge order.  Contracting the lone edge of a two-vertex
-graph with valence-1 endpoints would leave a valence-0 vertex; that is
-rejected rather than given an ad-hoc scalar meaning.
+delta_decorated reuses the skeleton coboundary's edge contraction
+(coboundary._contract), which gives the contracted skeleton, the sign and
+the new number of every old vertex.  For each regular edge it contracts
+the two endpoint tensors along the edge's slots, permutes the merged
+tensor's slots to realign with the contracted skeleton's half-edge order,
+and moves every other decoration to its vertex's new number.  Contracting
+the lone edge of a two-vertex graph with valence-1 endpoints would leave a
+valence-0 vertex; contract_decoration rejects that rather than giving it
+an ad-hoc scalar meaning.
 
 is_cocycle_decorated groups the termwise coboundary by canonical skeleton
 (literal symmetry mode, since decorations are tied to edge numbers) and
@@ -45,14 +48,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .canonical import transport_to_canonical
-from .coboundary import contract_edge
-from .errors import (
-    DegenerateContraction,
-    FormatError,
-    MixedScalarKinds,
-    ShapeMismatch,
-    SlotOutOfRange,
-)
+from .coboundary import _contract
+from .errors import FormatError, MixedScalarKinds, ShapeMismatch, SlotOutOfRange, _data_lines
 from .graphs import GraphSkeleton, SymmetryMode, grading, regular_edges
 from .tensors import (
     EquivariantTensor,
@@ -221,20 +218,15 @@ def contract_decoration(
 def delta_decorated(g: DecoratedGraph) -> DecoratedChain:
     """Decorated coboundary: one term per regular edge, slots realigned."""
     skel = g.skeleton
+    valences = skel.valences()
     terms: list[tuple[Fraction, DecoratedGraph]] = []
     for e in regular_edges(skel):
-        try:
-            contracted, sign = contract_edge(skel, e)
-        except DegenerateContraction:
-            raise ShapeMismatch(
-                f"contracting edge {e} would leave a valence-0 vertex; "
-                "such degenerate graphs are rejected"
-            ) from None
         i, j = skel.edges[e - 1]
         inc_i = list(skel.incident_edges(i))
         inc_j = list(skel.incident_edges(j))
         k = inc_i.index(e) + 1
         l = inc_j.index(e) + 1
+        # raises ShapeMismatch where the contraction would leave a bare vertex
         merged = contract_decoration(g.decorations[i - 1], g.decorations[j - 1], k, l)
         # realign merged slots with the contracted skeleton's half-edge order
         slot_edges = [x for x in inc_i if x != e] + [x for x in inc_j if x != e]
@@ -244,30 +236,30 @@ def delta_decorated(g: DecoratedGraph) -> DecoratedChain:
             merged = EquivariantTensor(
                 merged.label, merged.kind, np.transpose(merged.array, axes)
             )
-        lo, hi = (i, j) if i < j else (j, i)
-        new_decs: list[EquivariantTensor | None] = [None] * contracted.vertex_count
-        new_decs[lo - 1] = merged
-        for u in range(1, skel.vertex_count + 1):
-            if u == i or u == j:
-                continue
-            w = u - 1 if u > hi else u
-            new_decs[w - 1] = g.decorations[u - 1]
-        terms.append((Fraction(sign), DecoratedGraph(contracted, tuple(new_decs))))
+        contracted, sign, new = _contract(skel, e, valences)
+        decs: list = [None] * contracted.vertex_count
+        for w, t in zip(new, g.decorations):
+            decs[w - 1] = t
+        decs[new[i - 1] - 1] = merged
+        terms.append((Fraction(sign), DecoratedGraph(contracted, tuple(decs))))
     return DecoratedChain(terms)
 
 
-def _gram_norm(members: Sequence[tuple[Fraction, DecoratedGraph]]):
+_Member = tuple[Fraction, tuple[EquivariantTensor, ...]]
+
+
+def _gram_norm(members: Sequence[_Member]):
     """Squared norm of the group total sum_k c_k (x)_v T_kv, exactly.
 
     Equals sum_{k,l} c_k c_l prod_v <T_kv, T_lv>; each pair k < l is
     taken once and doubled, and a product stops at its first zero factor.
     """
     total = Fraction(0)
-    for k, (ck, gk) in enumerate(members):
+    for k, (ck, decs_k) in enumerate(members):
         for l in range(k, len(members)):
-            cl, gl = members[l]
+            cl, decs_l = members[l]
             term = ck * cl * (1 if k == l else 2)
-            for a, b in zip(gk.decorations, gl.decorations):
+            for a, b in zip(decs_k, decs_l):
                 term = term * pairing(a, b)
                 if term == 0:
                     break
@@ -275,12 +267,12 @@ def _gram_norm(members: Sequence[tuple[Fraction, DecoratedGraph]]):
     return total
 
 
-def _outer_sum(members: Sequence[tuple[Fraction, DecoratedGraph]], kind: ScalarKind) -> np.ndarray:
+def _outer_sum(members: Sequence[_Member], kind: ScalarKind) -> np.ndarray:
     """The group total sum_k c_k (x)_v T_kv as one float array of every entry."""
     total = None
-    for coeff, g in members:
+    for coeff, decs in members:
         big = functools.reduce(
-            lambda a, b: np.tensordot(a, b, axes=0), [_lift(t, kind) for t in g.decorations]
+            lambda a, b: np.tensordot(a, b, axes=0), [_lift(t, kind) for t in decs]
         )
         big = big * float(coeff)
         total = big if total is None else total + big
@@ -313,17 +305,16 @@ def is_cocycle_decorated(c: DecoratedChain, tolerance: float | None = None) -> b
     if c.is_empty:
         return True
     kind = _common_kind((g.kind for _, g in c), tolerance)
-    groups: dict[GraphSkeleton, list[tuple[Fraction, DecoratedGraph]]] = {}
+    groups: dict[GraphSkeleton, list[_Member]] = {}
     for coeff, g in c:
         for sign, h in delta_decorated(g):
             cls, perm, wsign = transport_to_canonical(h.skeleton, SymmetryMode.LITERAL)
-            decs: list[EquivariantTensor | None] = [None] * h.skeleton.vertex_count
-            for v in range(1, h.skeleton.vertex_count + 1):
-                decs[perm[v - 1] - 1] = h.decorations[v - 1]
-            moved = DecoratedGraph(cls.skeleton, tuple(decs))
-            groups.setdefault(cls.skeleton, []).append((coeff * sign * wsign, moved))
+            decs: list = [None] * len(perm)
+            for v, t in zip(perm, h.decorations):
+                decs[v - 1] = t
+            groups.setdefault(cls.skeleton, []).append((coeff * sign * wsign, tuple(decs)))
     for members in groups.values():
-        dims = {g.dim for _, g in members}
+        dims = {decs[0].dim for _, decs in members}
         if len(dims) > 1:
             raise ShapeMismatch(f"skeleton group mixes dimensions {sorted(dims)}")
         if kind.is_exact:
@@ -361,10 +352,7 @@ def ihx_check(f: EquivariantTensor, tolerance: float | None = None) -> bool:
 def parse_decoration_lines(text: str) -> dict[int, str]:
     """Map vertex number -> tensor reference (catalogue name or file path)."""
     out: dict[int, str] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in _data_lines(text):
         parts = line.split()
         if len(parts) != 4 or parts[0] != "vertex" or parts[2] != "tensor":
             raise FormatError(ln, f"expected 'vertex <i> tensor <ref>', got {line!r}")

@@ -124,3 +124,12 @@ class FormatError(GraphCohError):
     def __init__(self, line_number, message):
         self.line_number = line_number
         super().__init__(f"line {line_number}: {message}")
+
+
+def _data_lines(text: str):
+    """(line number, stripped line) for each line that is neither blank nor a
+    '#' comment: the one line rule of every text format."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield ln, line

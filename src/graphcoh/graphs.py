@@ -18,15 +18,11 @@ V = 2m, E = 3m for their order m.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import (
-    FormatError,
-    IsolatedVertex,
-    LoopEdge,
-    VertexOutOfRange,
-)
+from .errors import FormatError, IsolatedVertex, LoopEdge, VertexOutOfRange, _data_lines
 
 
 class SymmetryMode(enum.Enum):
@@ -256,37 +252,27 @@ def format_graphs(graphs: Iterable[GraphSkeleton], ids: Sequence[str] | None = N
 def parse_graphs(text: str) -> list[GraphSkeleton]:
     """Parse every graph block in `text`; inverse of format_graphs up to comments."""
     graphs = []
-    lines = text.splitlines()
-    i = 0
-    n = len(lines)
-    while i < n:
-        raw = lines[i].strip()
-        if not raw or raw.startswith("#"):
-            i += 1
-            continue
-        parts = raw.split()
+    lines = _data_lines(text)
+    for ln, line in lines:
+        parts = line.split()
         if len(parts) != 4 or parts[0] != "V" or parts[2] != "E":
-            raise FormatError(i + 1, f"expected 'V <int> E <int>', got {raw!r}")
+            raise FormatError(ln, f"expected 'V <int> E <int>', got {line!r}")
         try:
             v, e = int(parts[1]), int(parts[3])
         except ValueError:
-            raise FormatError(i + 1, f"bad counts in {raw!r}") from None
-        i += 1
+            raise FormatError(ln, f"bad counts in {line!r}") from None
         edges = []
-        while len(edges) < e:
-            if i >= n:
-                raise FormatError(n, f"graph block ends early: expected {e} edges")
-            raw = lines[i].strip()
-            i += 1
-            if not raw or raw.startswith("#"):
-                continue
-            parts = raw.split()
+        for ln, line in itertools.islice(lines, e):
+            parts = line.split()
             if len(parts) != 2:
-                raise FormatError(i, f"expected '<tail> <head>', got {raw!r}")
+                raise FormatError(ln, f"expected '<tail> <head>', got {line!r}")
             try:
                 edges.append((int(parts[0]), int(parts[1])))
             except ValueError:
-                raise FormatError(i, f"bad edge line {raw!r}") from None
+                raise FormatError(ln, f"bad edge line {line!r}") from None
+        if len(edges) < e:
+            last = text.count("\n") + (not text.endswith("\n"))
+            raise FormatError(last, f"graph block ends early: expected {e} edges")
         graphs.append(GraphSkeleton(v, tuple(edges)))
     return graphs
 

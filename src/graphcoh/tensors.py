@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import FormatError, NotAntisymmetric, ShapeMismatch
+from .errors import FormatError, NotAntisymmetric, ShapeMismatch, _data_lines
 
 FLOAT_TOLERANCE = 1e-12
 
@@ -486,10 +486,7 @@ def parse_tensor(text: str, label: str = "t") -> EquivariantTensor:
     entries: list[tuple[tuple[int, ...], object]] = []
     valence = dim = None
     kind = None
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in _data_lines(text):
         parts = line.split()
         if header is None:
             if len(parts) < 6 or parts[0] != "valence" or parts[2] != "dim" or parts[4] != "kind":

@@ -1,5 +1,8 @@
 """Signed canonical forms: worked examples, oracle agreement, group laws."""
 
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from graphcoh.canonical import (
     GraphClass,
+    _perm_tables,
     canonicalize,
     self_symmetries,
     transport_to_canonical,
@@ -212,3 +216,26 @@ def test_modes_kept_apart():
     assert lit != ren
     assert lit.mode is SymmetryMode.LITERAL
     assert ren.mode is SymmetryMode.EDGE_RENUMBERING
+
+
+def test_perm_tables_match_their_loop_definition():
+    """The vectorised pair tables equal their per-(permutation, pair) definition."""
+    for v in range(7):
+        tables = _perm_tables(v)
+        perms = list(itertools.permutations(range(1, v + 1)))
+        pairs = [(u, w) for u in range(1, v + 1) for w in range(u + 1, v + 1)]
+        assert tables.perms == perms and tables.pairs == pairs
+        assert tables.parity.tolist() == [permutation_parity(perm) for perm in perms]
+        pair_map, pair_flip = [], []
+        for perm in perms:
+            images = [(perm[u - 1], perm[w - 1]) for u, w in pairs]
+            pair_flip.append([a > b for a, b in images])
+            pair_map.append([pairs.index((min(a, b), max(a, b))) for a, b in images])
+        inverse = [[row.index(pid) for pid in range(len(pairs))] for row in pair_map]
+        for table, loop, dtype in (
+            (tables.pair_map, pair_map, np.uint8),
+            (tables.pair_flip, pair_flip, bool),
+            (tables.pair_map_inv, inverse, np.uint8),
+        ):
+            assert table.dtype == dtype and table.shape == (len(perms), len(pairs))
+            assert table.tolist() == loop

@@ -469,3 +469,22 @@ def test_bad_indices_and_coefficients_are_format_errors(parse, line):
             parse_cochain(f"1/1\tg1\n{line}\n", basis)
         else:
             parse_matrix(f"1 1 1/1\n{line}\n")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("5 5 1/1", "index 5 is past the last of 4"),
+        ("1 18 1/1", "index 18 is past the last of 17"),
+        ("5 1 1/1", "index 5 is past the last of 4"),
+    ],
+)
+def test_matrix_header_bounds_the_indices(line, message):
+    """Under a `# rows R cols C` line an entry past R or C is refused on its own line."""
+    text = f"# rows 4 cols 17\n1 1 1/1\n4 17 -1/2\n{line}\n"
+    with pytest.raises(FormatError, match=f"^line 4: {message}$"):
+        parse_matrix(text)
+    assert parse_matrix(text.replace(f"{line}\n", "")) == {
+        (0, 0): Fraction(1),
+        (3, 16): Fraction(-1, 2),
+    }

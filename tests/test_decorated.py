@@ -352,6 +352,40 @@ def test_delta_decorated_rejects_degenerate_collapse():
         delta_decorated(decorate(g, [vec, vec]))
 
 
+@given(g=skeletons(), data=st.data())
+def test_delta_decorated_matches_the_oracle_with_distinct_vertex_tensors(g, data):
+    """Every vertex carries its own random rational tensor, so a term that
+    puts a decoration on the wrong vertex shows in the comparison."""
+    dim = 2
+    tensors = []
+    for u, valence in enumerate(g.valences(), start=1):
+        entries = data.draw(
+            st.lists(
+                st.fractions(-3, 3, max_denominator=4),
+                min_size=dim**valence,
+                max_size=dim**valence,
+            )
+        )
+        entries[0] = Fraction(u)  # no two vertices share a tensor
+        values = np.array(entries, dtype=object).reshape((dim,) * valence)
+        tensors.append(make_tensor(values.tolist(), label=f"v{u}"))
+    dg = decorate(g, tensors)
+    val = g.valences()
+    if any(val[t - 1] == val[h - 1] == 1 for t, h in g.edges):
+        with pytest.raises(ShapeMismatch):
+            delta_decorated(dg)
+        return
+    expected = oracles.decorated_delta(
+        Fraction(1), g.vertex_count, g.edges, [t.array for t in tensors]
+    )
+    got = delta_decorated(dg).terms
+    assert len(got) == len(expected)
+    for (coeff, h), (c, v, edges, arrays) in zip(got, expected):
+        assert (coeff, h.skeleton.vertex_count, h.skeleton.edges) == (c, v, edges)
+        for t, a in zip(h.decorations, arrays, strict=True):
+            assert t.array.shape == a.shape and np.array_equal(t.array, a)
+
+
 def test_decorated_delta_squared_vanishes_on_trivalent_graphs():
     for m in (1, 2):
         for cls in enumerate_trivalent(m, connected=False, mode=SymmetryMode.LITERAL):

@@ -5,8 +5,9 @@ src/graphcoh/ and each script under scripts/, and fails on imported names
 that are never referenced (the package __init__, which re-exports, is
 exempt).  It also fails on module-level functions, classes and constants
 of src/graphcoh/ that nothing in src/, tests/ or scripts/ names outside
-their own definition (dunder names are exempt), and on package names the
-benchmark's tracer wraps or reads that no longer exist.
+their own definition (dunder names are exempt), on package names the
+benchmark's tracer wraps or reads that no longer exist, and on calls to
+splitlines() outside errors.py, whose line reader every text format shares.
 """
 
 from __future__ import annotations
@@ -49,6 +50,30 @@ def test_unused_import_is_detected():
 @pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def splitlines_calls(source: str) -> list[int]:
+    """Line numbers of the calls to a splitlines() method in source."""
+    return [
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "splitlines"
+    ]
+
+
+def test_splitlines_call_is_detected():
+    source = "def lines(text):\n    return [s.strip() for s in text.splitlines()]\n"
+    assert splitlines_calls(source) == [2]
+    assert splitlines_calls("def lines(text):\n    return str.splitlines(text)\n") == [2]
+
+
+def test_only_the_shared_line_reader_splits_lines():
+    """Text formats read lines through errors._data_lines, one rule for all."""
+    calls = {p.name: splitlines_calls(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert {name: lines for name, lines in calls.items() if lines and name != "errors.py"} == {}
+    assert calls["errors.py"]
 
 
 def defined_names(statement: ast.stmt) -> list[str]:
