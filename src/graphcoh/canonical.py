@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import GraphSkeleton, SymmetryMode, grading, permutation_parity
+from .graphs import GraphSkeleton, SymmetryMode, grading
 
 _LARGE_FACTORIAL_GUARD = 8  # exhaustive search is meant for V <= 8
 
@@ -72,7 +72,6 @@ class _PermTables:
     def __init__(self, v: int):
         perm_list = list(itertools.permutations(range(1, v + 1)))
         self.perms = perm_list  # lex order, identity first
-        self.parity = np.array([permutation_parity(perm) for perm in perm_list], dtype=np.int8)
         pairs = [(u, w) for u in range(1, v + 1) for w in range(u + 1, v + 1)]
         self.pairs = pairs
         self.pair_id = {p: i for i, p in enumerate(pairs)}
@@ -86,6 +85,8 @@ class _PermTables:
         b = images[:, [w - 1 for _, w in pairs]]
         self.pair_map = ids[a, b]
         self.pair_flip = a > b
+        # the pairs a permutation flips are its inversions
+        self.parity = (1 - 2 * (self.pair_flip.sum(axis=1) & 1)).astype(np.int8)
         pair_map_inv = np.empty_like(self.pair_map)
         rows = np.arange(len(perm_list))[:, None]
         pair_map_inv[rows, self.pair_map] = np.arange(p, dtype=np.uint8)[None, :]

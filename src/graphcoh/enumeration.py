@@ -7,10 +7,13 @@ over the pairs.  A class is kept when its labeled representative is the
 canonical one (no vertex permutation reaches a lexicographically smaller
 flattened edge list) and no self-symmetry carries sign -1.
 
-One vectorized sweep serves every cell: the whole universe is filtered
-against one vertex permutation at a time, each permuted row compared
-with its original lexicographically, at the first column where the two
-differ.  Rows that survive every permutation are decoded into classes.
+One vectorized sweep serves every cell: the live rows meet one vertex
+permutation at a time, each permuted row compared with its original
+lexicographically, at the first column where the two differ, and the rows
+a permutation beats are dropped before the next.  Permutations come in
+order of how many points they move, transpositions first, since the
+cheapest moves kill most rows.  Rows that survive every permutation are
+decoded into classes.
 
 Enumeration refuses to start when the labeled universe would exceed a
 multiple of the configured class cap, or when V > 8 puts the exhaustive
@@ -32,7 +35,6 @@ from .graphs import SymmetryMode, counts_for_grading, is_connected
 DEFAULT_CAP = 200_000
 
 _UNIVERSE_FACTOR = 50  # labeled universe may be this many times the cap
-_COMPACT_EVERY = 32  # drop dead rows from the bulk sweep this often
 
 
 def resolve_cap(cap: int | None = None) -> int:
@@ -51,54 +53,52 @@ def _universe_size(v: int, e: int, mode: SymmetryMode) -> int:
     return math.comb(e + p - 1, p - 1)
 
 
-@functools.lru_cache(maxsize=2048)
 def _compositions(total: int, parts: int) -> np.ndarray:
     """All ways to write `total` as an ordered sum of `parts` naturals.
 
     The entries take the least unsigned dtype holding `total` (uint8 up to 255).
+    The memo lives for one call, so no universe outlasts its cell.
     """
-    dtype = np.min_scalar_type(total)
-    if parts == 1:
-        out = np.array([[total]], dtype=dtype)
-    else:
-        blocks = []
+
+    @functools.cache
+    def blocks(total: int, parts: int) -> np.ndarray:
+        dtype = np.min_scalar_type(total)
+        if parts == 1:
+            return np.array([[total]], dtype=dtype)
+        out = []
         for first in range(total + 1):
-            rest = _compositions(total - first, parts - 1)
-            col = np.full((rest.shape[0], 1), first, dtype)
-            blocks.append(np.hstack([col, rest]))
-        out = np.vstack(blocks)
-    out.flags.writeable = False
-    return out
+            rest = blocks(total - first, parts - 1)
+            out.append(np.hstack([np.full((rest.shape[0], 1), first, dtype), rest]))
+        return np.vstack(out)
+
+    try:
+        return blocks(total, parts)
+    finally:
+        blocks.cache_clear()  # blocks refers to itself, so only gc would free it
 
 
 def _labeled_universe(v: int, e: int, mode: SymmetryMode, tables) -> np.ndarray:
     """Rows of the labeled universe: pair-id sequences or multiplicity vectors."""
     p = len(tables.pairs)
     if mode is SymmetryMode.LITERAL:
-        n = p**e
-        arr = np.empty((n, e), dtype=np.uint8)
-        base = np.arange(n, dtype=np.int64)
+        digits = np.arange(p, dtype=np.uint8)
+        arr = np.empty((p**e, e), dtype=np.uint8)
         for col in range(e):
-            arr[:, col] = (base // p ** (e - 1 - col)) % p
+            arr[:, col] = np.tile(np.repeat(digits, p ** (e - 1 - col)), p**col)
         return arr
-    return np.array(_compositions(e, p))
+    return _compositions(e, p)
 
 
 def _valence_filter(arr: np.ndarray, v: int, mode: SymmetryMode, tables, trivalent: bool) -> np.ndarray:
     """Keep rows where every vertex is touched (or has valence exactly 3)."""
-    p = len(tables.pairs)
-    incidence = np.zeros((p, v), dtype=np.uint8)
-    for pid, (a, b) in enumerate(tables.pairs):
-        incidence[pid, a - 1] = 1
-        incidence[pid, b - 1] = 1
-    if mode is SymmetryMode.LITERAL:
-        keep = np.ones(arr.shape[0], dtype=bool)
-        for u in range(v):
-            count = incidence[:, u][arr].sum(axis=1)
-            keep &= (count == 3) if trivalent else (count >= 1)
-        return arr[keep]
-    val = arr.astype(np.int16) @ incidence.astype(np.int16)
-    keep = (val == 3).all(axis=1) if trivalent else (val >= 1).all(axis=1)
+    keep = np.ones(arr.shape[0], dtype=bool)
+    for u in range(1, v + 1):
+        at_u = np.array([u in pair for pair in tables.pairs])
+        if mode is SymmetryMode.LITERAL:
+            hits = at_u[arr]  # is each edge at u?
+        else:
+            hits = arr[:, at_u]  # multiplicity of each pair at u
+        keep &= (hits.sum(axis=1, dtype=np.int64) == 3) if trivalent else hits.any(axis=1)
     return arr[keep]
 
 
@@ -122,15 +122,13 @@ def _bulk_survivors(arr: np.ndarray, mode: SymmetryMode, tables):
     survivors only.
     """
     literal = mode is SymmetryMode.LITERAL
+    images = np.array(tables.perms)
+    moved_points = (images != np.arange(1, images.shape[1] + 1)).sum(axis=1)
     live = arr
-    mask = np.ones(live.shape[0], dtype=bool)
-    for g in range(1, len(tables.perms)):
+    for g in np.argsort(moved_points, kind="stable")[1:]:  # [0] is the identity
         moved = _act(tables, mode, live, g)
-        mask &= ~(_lex_less(moved, live) if literal else _lex_less(live, moved))
-        if g % _COMPACT_EVERY == 0 and not mask.all():
-            live = live[mask]
-            mask = np.ones(live.shape[0], dtype=bool)
-    live = live[mask]
+        less = _lex_less(moved, live) if literal else _lex_less(live, moved)
+        live = live[~less]
 
     # Zero detection: a survivor is zero when a permutation fixing it has sign -1.
     zero = np.zeros(live.shape[0], dtype=bool)

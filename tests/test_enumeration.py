@@ -5,9 +5,12 @@ import itertools
 import pytest
 
 import oracles
-from graphcoh.canonical import canonicalize
+from graphcoh.canonical import _perm_tables, _skeleton_from_row, canonicalize
 from graphcoh.enumeration import (
     DEFAULT_CAP,
+    _bulk_survivors,
+    _labeled_universe,
+    _valence_filter,
     enumerate_by_counts,
     enumerate_grading,
     enumerate_trivalent,
@@ -63,6 +66,26 @@ def test_trivalent_subset_of_the_full_cell():
     assert len(full) == 1831
 
 
+@pytest.mark.parametrize("order", [2, 3])
+def test_edge_renumbering_trivalent_is_the_valence_three_subset(order):
+    mode = SymmetryMode.EDGE_RENUMBERING
+    full = enumerate_by_counts(2 * order, 3 * order, mode=mode)
+    expected = [c for c in full if set(c.skeleton.valences()) == {3}]
+    assert enumerate_trivalent(order, connected=False, mode=mode) == expected
+
+
+@pytest.mark.parametrize(
+    "mode, vertices, edges, count",
+    [
+        (SymmetryMode.EDGE_RENUMBERING, 6, 8, 228),
+        (SymmetryMode.EDGE_RENUMBERING, 6, 9, 752),
+        (SymmetryMode.LITERAL, 5, 6, 6505),
+    ],
+)
+def test_benchmark_cell_counts(mode, vertices, edges, count):
+    assert len(enumerate_by_counts(vertices, edges, mode=mode)) == count
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive oracle agreement.
 # ---------------------------------------------------------------------------
@@ -90,6 +113,32 @@ def test_trivalent_cell_matches_oracle_in_edge_renumbering_mode():
         cls.skeleton.edges
         for cls in enumerate_by_counts(4, 6, mode=SymmetryMode.EDGE_RENUMBERING)
     ]
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "mode, vertices, edges",
+    [(SymmetryMode.LITERAL, 4, 5), (SymmetryMode.EDGE_RENUMBERING, 5, 6)],
+)
+def test_sweep_keeps_exactly_the_canonical_rows(mode, vertices, edges):
+    """A filtered row survives the sweep iff it decodes to a canonical
+    skeleton, and it is flagged zero iff that class is zero."""
+    tables = _perm_tables(vertices)
+    rows = _valence_filter(
+        _labeled_universe(vertices, edges, mode, tables), vertices, mode, tables, False
+    )
+    survivors, zero = _bulk_survivors(rows, mode, tables)
+    expected = {}
+    for row in rows:
+        skeleton = _skeleton_from_row(vertices, row, mode, tables.pairs)
+        cls = canonicalize(skeleton, mode)
+        if cls.skeleton == skeleton:
+            expected[skeleton] = cls.is_zero
+    got = {
+        _skeleton_from_row(vertices, row, mode, tables.pairs): bool(z)
+        for row, z in zip(survivors, zero)
+    }
+    assert len(got) == len(survivors)
     assert got == expected
 
 
