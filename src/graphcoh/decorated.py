@@ -55,6 +55,8 @@ from .tensors import (
     EquivariantTensor,
     ScalarKind,
     _lift,
+    _scalar,
+    _tensordot,
     jacobi_violation,
     nonzero_mask,
     pairing,
@@ -170,22 +172,19 @@ def evaluate(g: DecoratedGraph):
     if g.skeleton.vertex_count == 0:
         return Fraction(1)
     kind = g.kind
-    arrays = [_lift(t, kind) for t in g.decorations]
-    result = arrays[0]
+    result = _lift(g.decorations[0], kind)
     open_slots: list[int] = list(g.skeleton.incident_edges(1))
     for v in range(2, g.skeleton.vertex_count + 1):
-        t = arrays[v - 1]
         t_slots = list(g.skeleton.incident_edges(v))
         shared = [e for e in t_slots if e in open_slots]
         axes_res = [open_slots.index(e) for e in shared]
         axes_t = [t_slots.index(e) for e in shared]
-        result = np.tensordot(result, t, axes=(axes_res, axes_t))
+        result = _tensordot(result, _lift(g.decorations[v - 1], kind), (axes_res, axes_t), kind.radicand)
         open_slots = [e for e in open_slots if e not in shared] + [
             e for e in t_slots if e not in shared
         ]
     assert not open_slots, "every edge must be contracted exactly once"
-    value = result.item() if isinstance(result, np.ndarray) else result
-    return value if kind.is_exact else float(value)
+    return _scalar(result, kind)
 
 
 def contract_decoration(
@@ -211,8 +210,8 @@ def contract_decoration(
             "tensors' only slots); scalars are not decorations"
         )
     kind = unify_kinds([rho_i.kind, rho_j.kind])
-    out = np.tensordot(_lift(rho_i, kind), _lift(rho_j, kind), axes=([k - 1], [l - 1]))
-    return EquivariantTensor(f"{rho_i.label}.{rho_j.label}", kind, out)
+    out = _tensordot(_lift(rho_i, kind), _lift(rho_j, kind), ([k - 1], [l - 1]), kind.radicand)
+    return EquivariantTensor(f"{rho_i.label}.{rho_j.label}", kind, *out)
 
 
 def delta_decorated(g: DecoratedGraph) -> DecoratedChain:
@@ -233,9 +232,7 @@ def delta_decorated(g: DecoratedGraph) -> DecoratedChain:
         target = sorted(slot_edges)
         if target != slot_edges:
             axes = [slot_edges.index(x) for x in target]
-            merged = EquivariantTensor(
-                merged.label, merged.kind, np.transpose(merged.array, axes)
-            )
+            merged = merged.transpose(axes)
         contracted, sign, new = _contract(skel, e, valences)
         decs: list = [None] * contracted.vertex_count
         for w, t in zip(new, g.decorations):
@@ -272,7 +269,7 @@ def _outer_sum(members: Sequence[_Member], kind: ScalarKind) -> np.ndarray:
     total = None
     for coeff, decs in members:
         big = functools.reduce(
-            lambda a, b: np.tensordot(a, b, axes=0), [_lift(t, kind) for t in decs]
+            lambda a, b: np.tensordot(a, b, axes=0), [_lift(t, kind)[1] for t in decs]
         )
         big = big * float(coeff)
         total = big if total is None else total + big

@@ -12,9 +12,15 @@ Combining kinds follows the obvious lattice: rational mixes with radical d
 to give radical d; distinct radicands or any float force float.  When a
 caller demands an exact verdict but the kinds force float, that is an
 error (:class:`~graphcoh.errors.MixedScalarKinds`), raised by the
-consumers of :func:`unify_kinds`.  Every consumer moves entries into the
-combined kind through one conversion, ``_as_kind`` (``_lift`` for a
-tensor, which leaves a tensor already of that kind untouched).
+consumers of :func:`unify_kinds`.
+
+A tensor is stored as ``(num + rad*sqrt(d)) / den``: ``num`` and ``rad``
+are object arrays of Python ints (no overflow) over one positive common
+denominator, ``rad`` is None when every sqrt(d) part is zero, and a float
+tensor is ``(1, float array, None)``.  One kernel, ``_tensordot``,
+contracts two such triples; since den > 0 and sqrt(d) is irrational, an
+entry is zero exactly when its numerators are.  ``.array``, the read-only
+array of Fractions, Rads or floats, is built on first read.
 
 A tensor's slots are numbered 1..valence, matching the half-edge order of
 decorated graphs.  Generators act slotwise by ``out[i,...] = sum_a G[i,a]
@@ -24,6 +30,7 @@ vanishes for every generator.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -195,36 +202,51 @@ def unify_kinds(kinds: Iterable[ScalarKind]) -> ScalarKind:
     return out
 
 
-def _as_kind(arr, kind: ScalarKind) -> np.ndarray:
-    """A new array of arr's entries as the kind's scalars: floats, or an
-    object array of Fractions or of Rads carrying the kind's radicand."""
+def _store(arr, kind: ScalarKind) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """arr's entries as the kind's (den, num, rad) triple, den the least common denominator."""
+    arr = np.asarray(arr, dtype=object)
     if kind.name == "float":
-        return np.array(arr, dtype=float)
-    if kind.name == "rational":
-        convert = Fraction
-    else:
-        d = kind.radicand
-
-        def convert(x):
-            if not isinstance(x, Rad):
-                return Rad(x, 0, d)
-            if x.b != 0 and x.d != d:
-                raise ValueError(f"entry radicand {x.d} does not match declared {d}")
-            return Rad(x.a, x.b, d)
-
-    out = np.empty(np.shape(arr), dtype=object)
-    out.ravel()[:] = [convert(x) for x in np.ravel(arr).tolist()]
-    return out
+        return 1, np.array(arr, dtype=float), None
+    values, d = arr.ravel().tolist(), kind.radicand
+    for x in values:
+        if d and isinstance(x, Rad) and x.b != 0 and x.d != d:
+            raise ValueError(f"entry radicand {x.d} does not match declared {d}")
+    parts = [(x.a, x.b) if d and isinstance(x, Rad) else (Fraction(x), 0) for x in values]
+    den = math.lcm(*(q.denominator for pair in parts for q in pair))
+    num, rad = (
+        np.array([q.numerator * (den // q.denominator) for q in col], dtype=object).reshape(arr.shape)
+        for col in zip(*parts)
+    )
+    return den, num, rad if (rad != 0).any() else None
 
 
-def _lift(t: EquivariantTensor, kind: ScalarKind) -> np.ndarray:
-    """t's entries in a kind containing t.kind: t.array itself when the kinds agree."""
-    return t.array if t.kind == kind else _as_kind(t.array, kind)
+def _lift(t: EquivariantTensor, kind: ScalarKind) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """t's (den, num, rad) triple in a kind containing t.kind; floats for the float kind."""
+    return _store(t.array, kind) if kind.name == "float" and t.kind.is_exact else (t.den, t.num, t.rad)
 
 
-def _zeros(valence: int, dim: int, kind: ScalarKind) -> np.ndarray:
-    """A writable all-zero hypercube array holding the kind's zero."""
-    return _as_kind(np.zeros((dim,) * valence, dtype=object), kind)
+def _tensordot(x, y, axes, radicand: int | None = None) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """Contract two (den, num, rad) triples over np.tensordot's axes.
+
+    (A + B sqrt(d))/den times (A' + B' sqrt(d))/den' gives
+    ((A A' + d B B') + (A B' + B A') sqrt(d)) / (den den'): one tensordot
+    when neither side has a sqrt(d) part, four when both have.
+    """
+    (p, a, b), (q, a2, b2) = x, y
+    num = np.tensordot(a, a2, axes)
+    if b is not None and b2 is not None:
+        num = num + radicand * np.tensordot(b, b2, axes)
+    cross = [np.tensordot(u, v, axes) for u, v in ((a, b2), (b, a2)) if u is not None and v is not None]
+    return p * q, num, functools.reduce(np.add, cross) if cross else None
+
+
+def _scalar(x, kind: ScalarKind):
+    """A fully contracted (0-valence) triple as a Fraction, a Rad or a float."""
+    den, num, rad = (v.item() if isinstance(v, np.ndarray) else v for v in x)
+    if kind.name == "float":
+        return float(num)
+    q = Fraction(num, den)
+    return q if kind.name == "rational" else Rad(q, Fraction(rad or 0, den), kind.radicand)
 
 
 def nonzero_mask(arr: np.ndarray, exact: bool, tolerance: float | None = None) -> np.ndarray:
@@ -234,46 +256,70 @@ def nonzero_mask(arr: np.ndarray, exact: bool, tolerance: float | None = None) -
     return np.abs(arr) > (FLOAT_TOLERANCE if tolerance is None else tolerance)
 
 
-def _first_nonzero(arr: np.ndarray, exact: bool, tolerance: float | None = None) -> tuple[int, ...] | None:
-    """1-based multi-index of the first nonzero entry in row-major order, or None."""
-    hits = np.flatnonzero(nonzero_mask(arr, exact, tolerance))
+def _first_nonzero(parts: list[np.ndarray], exact: bool, tolerance: float | None = None) -> tuple[int, ...] | None:
+    """1-based multi-index of the first entry, row-major, where some part is nonzero, or None."""
+    hits = np.flatnonzero(functools.reduce(np.logical_or, (nonzero_mask(x, exact, tolerance) for x in parts)))
     if hits.size == 0:
         return None
-    return tuple(int(i) + 1 for i in np.unravel_index(hits[0], arr.shape))
+    return tuple(int(i) + 1 for i in np.unravel_index(hits[0], parts[0].shape))
 
 
 @dataclass(frozen=True, eq=False)
 class EquivariantTensor:
-    """Dense valence-v tensor over an m-dimensional space, one scalar kind."""
+    """Dense valence-v tensor over an m-dimensional space, one scalar kind,
+    stored as (num + rad*sqrt(d)) / den (see the module docstring)."""
 
     label: str
     kind: ScalarKind
-    array: np.ndarray
+    den: int
+    num: np.ndarray
+    rad: np.ndarray | None = None
 
     def __post_init__(self):
-        arr = self.array
+        arr = self.num
         if arr.ndim < 1:
             raise ShapeMismatch("tensor valence must be at least 1")
         if len(set(arr.shape)) != 1:
             raise ShapeMismatch(f"tensor must be a hypercube, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ShapeMismatch("tensor dimension must be at least 1")
-        arr.flags.writeable = False
+        for x in (self.num, self.rad):
+            if x is not None:
+                x.flags.writeable = False
+
+    @functools.cached_property
+    def array(self) -> np.ndarray:
+        """Read-only array of the kind's scalars: Fractions, Rads or floats."""
+        if not self.kind.is_exact:
+            return self.num
+        den, d = self.den, self.kind.radicand
+        if d is None:
+            out = np.frompyfunc(lambda a: Fraction(a, den), 1, 1)(self.num)
+        else:
+            rad = 0 if self.rad is None else self.rad
+            out = np.frompyfunc(lambda a, b: Rad(Fraction(a, den), Fraction(b, den), d), 2, 1)(self.num, rad)
+        out.flags.writeable = False
+        return out
 
     @property
     def valence(self) -> int:
-        return self.array.ndim
+        return self.num.ndim
 
     @property
     def dim(self) -> int:
-        return self.array.shape[0]
+        return self.num.shape[0]
 
     def entry(self, *index: int):
         """Entry at a 1-based multi-index."""
         return self.array[tuple(i - 1 for i in index)]
 
     def with_label(self, label: str) -> "EquivariantTensor":
-        return EquivariantTensor(label, self.kind, self.array)
+        return EquivariantTensor(label, self.kind, self.den, self.num, self.rad)
+
+    def transpose(self, axes: Sequence[int]) -> "EquivariantTensor":
+        """The tensor whose slots are this one's in the order np.transpose(array, axes)."""
+        parts = (None if x is None else np.transpose(x, axes) for x in (self.num, self.rad))
+        return EquivariantTensor(self.label, self.kind, self.den, *parts)
 
     def __eq__(self, other):
         if not isinstance(other, EquivariantTensor):
@@ -310,11 +356,11 @@ def make_tensor(values, kind: ScalarKind | None = None, label: str = "t") -> Equ
     arr = np.asarray(values, dtype=object)
     if kind is None:
         kind = _infer_kind(arr.ravel())
-    return EquivariantTensor(label, kind, _as_kind(arr, kind))
+    return EquivariantTensor(label, kind, *_store(arr, kind))
 
 
 def zero_tensor(valence: int, dim: int, kind: ScalarKind = RATIONAL, label: str = "zero") -> EquivariantTensor:
-    return EquivariantTensor(label, kind, _zeros(valence, dim, kind))
+    return make_tensor(np.zeros((dim,) * valence, dtype=object), kind, label)
 
 
 def pairing(t1: EquivariantTensor, t2: EquivariantTensor):
@@ -325,20 +371,22 @@ def pairing(t1: EquivariantTensor, t2: EquivariantTensor):
             f" vs valence {t2.valence} dim {t2.dim}"
         )
     kind = unify_kinds([t1.kind, t2.kind])
-    total = np.sum(_lift(t1, kind) * _lift(t2, kind))
-    return total if kind.is_exact else float(total)
+    if kind.name == "float":
+        # numpy's pairwise sum, not a dot product: the reports print its last digit
+        return float(np.sum(_lift(t1, kind)[1] * _lift(t2, kind)[1]))
+    axes = list(range(t1.valence))
+    return _scalar(_tensordot(_lift(t1, kind), _lift(t2, kind), (axes, axes), kind.radicand), kind)
 
 
 def direct_sum(t1: EquivariantTensor, t2: EquivariantTensor, label: str | None = None) -> EquivariantTensor:
     """Block tensor on the direct sum: t1 on the first block, t2 on the second."""
     if t1.valence != t2.valence:
         raise ShapeMismatch(f"direct sum needs equal valences, got {t1.valence} vs {t2.valence}")
-    kind = unify_kinds([t1.kind, t2.kind])
     v, m1, m = t1.valence, t1.dim, t1.dim + t2.dim
-    arr = _zeros(v, m, kind)
-    arr[(slice(0, m1),) * v] = _lift(t1, kind)
-    arr[(slice(m1, m),) * v] = _lift(t2, kind)
-    return EquivariantTensor(label or f"{t1.label}+{t2.label}", kind, arr)
+    arr = np.zeros((m,) * v, dtype=object)
+    arr[(slice(0, m1),) * v] = t1.array
+    arr[(slice(m1, m),) * v] = t2.array
+    return make_tensor(arr, unify_kinds([t1.kind, t2.kind]), label or f"{t1.label}+{t2.label}")
 
 
 def apply_generator(generator: np.ndarray, array: np.ndarray, slot: int) -> np.ndarray:
@@ -378,15 +426,9 @@ def check_equivariance(
     exact = t.kind.is_exact and gens_exact and tolerance is None
     if exact:
         arr = t.array
-        gens = [
-            np.array(
-                [x if isinstance(x, (Fraction, Rad)) else Fraction(int(x)) for x in g.ravel()],
-                dtype=object,
-            ).reshape(g.shape)
-            for g in gens
-        ]
+        gens = [np.asarray(g, dtype=object) for g in gens]
     else:
-        arr = _lift(t, FLOAT)
+        arr = _lift(t, FLOAT)[1]
         gens = [np.asarray(g, dtype=complex) for g in gens]
     for g in gens:
         residual = sum(apply_generator(g, arr, s) for s in range(1, t.valence + 1))
@@ -397,8 +439,7 @@ def check_equivariance(
 
 def _swap_defect(t: EquivariantTensor, k: int, l: int, sign: int, tolerance: float | None):
     """First index where swapping slots k, l fails to multiply t by sign, or None."""
-    swapped = np.swapaxes(t.array, k - 1, l - 1)
-    diff = swapped - t.array if sign == 1 else swapped + t.array
+    diff = [np.swapaxes(x, k - 1, l - 1) - sign * x for x in (t.num, t.rad) if x is not None]
     return _first_nonzero(diff, t.kind.is_exact, tolerance)
 
 
@@ -427,8 +468,8 @@ def jacobi_violation(f: EquivariantTensor, tolerance: float | None = None) -> tu
         witness = _swap_defect(f, k, l, -1, tolerance)
         if witness is not None:
             raise NotAntisymmetric((k, l), witness)
-    t1 = np.tensordot(f.array, f.array, axes=([2], [0]))
-    residual = t1 - t1.transpose(0, 2, 1, 3) + t1.transpose(0, 2, 3, 1)
+    _, *t1 = _tensordot(_lift(f, f.kind), _lift(f, f.kind), ([2], [0]), f.kind.radicand)
+    residual = [x - x.transpose(0, 2, 1, 3) + x.transpose(0, 2, 3, 1) for x in t1 if x is not None]
     return _first_nonzero(residual, f.kind.is_exact, tolerance)
 
 
@@ -520,10 +561,10 @@ def parse_tensor(text: str, label: str = "t") -> EquivariantTensor:
         if idx in seen:
             raise FormatError(header, f"duplicate entry at index {idx}")
         seen.add(idx)
-    arr = _zeros(valence, dim, kind)
+    arr = np.zeros((dim,) * valence, dtype=object)
     for idx, value in entries:
         arr[tuple(i - 1 for i in idx)] = value
-    return EquivariantTensor(label, kind, arr)
+    return make_tensor(arr, kind, label)
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +578,10 @@ def levi_civita(i: int, j: int, k: int) -> int:
 
 def eps_tensor() -> EquivariantTensor:
     """The alternating tensor on dimension 3 (six entries, all +-1)."""
-    arr = np.full((3, 3, 3), Fraction(0), dtype=object)
+    arr = np.zeros((3, 3, 3), dtype=object)
     for i, j, k in itertools.permutations(range(1, 4)):
-        arr[i - 1, j - 1, k - 1] = Fraction(levi_civita(i, j, k))
-    return EquivariantTensor("eps", RATIONAL, arr)
+        arr[i - 1, j - 1, k - 1] = levi_civita(i, j, k)
+    return EquivariantTensor("eps", RATIONAL, 1, arr)
 
 
 def half_half_one_tensor() -> EquivariantTensor:
@@ -552,7 +593,7 @@ def half_half_one_tensor() -> EquivariantTensor:
     basis that makes every entry rational; the largest entry is 1, and the
     tensor is symmetric under exchanging the two spinor slots.
     """
-    arr = np.full((5, 5, 5), Fraction(0), dtype=object)
+    arr = np.zeros((5, 5, 5), dtype=object)
     blocks = {
         3: ((1, 1, 1), (2, 2, -1)),
         4: ((1, 1, 1), (2, 2, 1)),
@@ -560,8 +601,8 @@ def half_half_one_tensor() -> EquivariantTensor:
     }
     for m, cells in blocks.items():
         for a, b, v in cells:
-            arr[a - 1, b - 1, m - 1] = Fraction(v)
-    return EquivariantTensor("half-half-one", RATIONAL, arr)
+            arr[a - 1, b - 1, m - 1] = v
+    return EquivariantTensor("half-half-one", RATIONAL, 1, arr)
 
 
 def so3_generators() -> list[np.ndarray]:

@@ -288,6 +288,88 @@ def test_mixed_kinds_lift_to_the_unified_kind(first, second, unified):
         check(merged.array[i, j, p, q], want)
 
 
+# Exact tensors are stored as integer numerators over one denominator and
+# contracted by integer tensordots; these draws push both past int64.
+BIG = 2**68
+SMALL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+def kernel_tensor(data, name, valence, d):
+    """A dimension-2 tensor: rational with denominators 2, 4 or 8 over odd
+    numerators above 2**68, or radical d with small rational parts."""
+    n = 2**valence
+    if name == "rational":
+        draws = data.draw(st.lists(
+            st.tuples(st.sampled_from([-1, 0, 1]), st.integers(0, 2**20), st.integers(1, 3)),
+            min_size=n, max_size=n,
+        ))
+        values, kind = [s * Fraction(BIG + 2 * k + 1, 2**j) for s, k, j in draws], RATIONAL
+    else:
+        draws = data.draw(st.lists(st.tuples(SMALL, SMALL), min_size=n, max_size=n))
+        values, kind = [Rad(a, b, d) for a, b in draws], radical(d)
+    arr = np.empty(n, dtype=object)
+    arr[:] = values
+    return make_tensor(arr.reshape((2,) * valence), kind=kind, label=name)
+
+
+@given(
+    data=st.data(),
+    names=st.sampled_from(
+        [("rational", "rational"), ("radical", "radical"), ("rational", "radical"),
+         ("radical", "rational")]
+    ),
+    d=st.sampled_from([2, 3, 5]),
+)
+def test_integer_kernels_match_the_oracles(data, names, d):
+    """contract_decoration, pairing and evaluate on rational tensors past
+    2**64, radical d tensors and mixed pairs: the values of the loop
+    oracles, as Fraction (rational) or Rad (radical) scalars."""
+    kind = radical(d) if "radical" in names else RATIONAL
+    scalar = Rad if "radical" in names else Fraction
+    a, b = kernel_tensor(data, names[0], 3, d), kernel_tensor(data, names[1], 2, d)
+    k, l = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    merged = contract_decoration(a, b, k, l)
+    assert merged.kind == kind
+    got = {
+        idx: merged.array[idx]
+        for idx in itertools.product(range(2), repeat=3)
+        if merged.array[idx] != 0
+    }
+    assert got == oracles.contract_slots(a.array, b.array, k, l)
+    assert all(isinstance(x, scalar) for x in merged.array.ravel())
+    with pytest.raises(ValueError):
+        merged.array[0, 0, 0] = 0
+
+    c = kernel_tensor(data, names[1], 3, d)
+    value = pairing(a, c)
+    assert isinstance(value, scalar)
+    assert value == sum(x * y for x, y in zip(a.array.ravel().tolist(), c.array.ravel().tolist()))
+
+    g = data.draw(skeletons(max_vertices=3, max_edges=4))
+    decs = [kernel_tensor(data, names[v % 2], val, d) for v, val in enumerate(g.valences())]
+    value = evaluate(decorate(g, decs))
+    assert isinstance(value, Rad if any(t.kind.name == "radical" for t in decs) else Fraction)
+    assert value == oracles.evaluate_loops(g.vertex_count, g.edges, [t.array for t in decs])
+
+
+def test_radical_evaluation_scales_by_c_to_the_vertex_count():
+    """evaluate is multilinear, so c*eps with c = a + b sqrt(d) at every vertex
+    of a V-vertex trivalent graph gives c**V times the eps value; c**V is
+    computed here by repeated (x + y sqrt d)(a + b sqrt d)."""
+    a, b, d = Fraction(2, 3), Fraction(-5, 4), 3
+    scaled = make_tensor((EPS.array * Rad(a, b, d)).tolist(), kind=radical(d), label="c-eps")
+    for order in (1, 2):
+        for cls in enumerate_trivalent(order, connected=False, mode=SymmetryMode.LITERAL):
+            g = cls.skeleton
+            x, y = Fraction(1), Fraction(0)
+            for _ in range(g.vertex_count):
+                x, y = x * a + y * b * d, x * b + y * a
+            value = evaluate(decorate_uniform(g, scaled))
+            base = evaluate(eps_decorated(g))
+            assert isinstance(value, Rad) and value.d == d
+            assert (value.a, value.b) == (base * x, base * y), g.edges
+
+
 # ---------------------------------------------------------------------------
 # Decorated coboundary.
 # ---------------------------------------------------------------------------
