@@ -387,12 +387,12 @@ def suite_canon(args: argparse.Namespace, lines: list[str]) -> None:
 def suite_ihx(args: argparse.Namespace, lines: list[str]) -> None:
     eps = eps_tensor()
     for name, tensor in (("eps", eps), ("eps-block-sum", direct_sum(eps, eps))):
-        if ihx_violation(tensor, args.tol) is not None:
+        if ihx_violation(tensor) is not None:
             raise _SuiteFailure(f"ihx({name}) = False, expected True")
         lines.append(f"ok ihx {name} holds")
     data = importlib.resources.files("graphcoh").joinpath("data/perturbed_jacobi.txt")
     perturbed = parse_tensor(data.read_text(), label="perturbed-jacobi")
-    violation = ihx_violation(perturbed, args.tol)
+    violation = ihx_violation(perturbed)
     if violation is None:
         raise _SuiteFailure("perturbed table unexpectedly satisfies the identity")
     lines.append(f"ok ihx perturbed-jacobi fails at index {violation}")
@@ -433,7 +433,7 @@ def suite_decorated_delta2(args: argparse.Namespace, lines: list[str]) -> None:
     for m in (1, 2):
         for cls in enumerate_trivalent(m, connected=False, mode=SymmetryMode.LITERAL, cap=args.cap):
             g = decorate_uniform(cls.skeleton, eps)
-            if not is_cocycle_decorated(delta_decorated(g), args.tol):
+            if not is_cocycle_decorated(delta_decorated(g)):
                 raise _SuiteFailure(
                     "decorated delta^2 residue on:", format_graph(cls.skeleton).rstrip("\n")
                 )
@@ -451,7 +451,6 @@ SUITES = {
 # check options by destination: the flag and the suites that read it.  Giving
 # one to any other suite is a usage error, as an ignored flag would be.
 SUITE_OPTIONS = {
-    "tol": ("--tol", ("ihx", "decorated-delta2")),
     "cap": ("--cap", ("delta2", "canon", "decorated-delta2")),
     "order": ("--order/--max-order", ("delta2",)),
 }
@@ -493,15 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, mode=False, cap=False, tol=False, grading=False):
+    def common(p, *, mode=False, cap=False, grading=False):
         """--out and --json, plus the options the subcommand reads."""
         if mode:
             p.add_argument("--mode", choices=[m.value for m in SymmetryMode], default="literal",
                            help="symmetry mode (default literal)")
         if cap:
             p.add_argument("--cap", type=int, default=None, help="basis size cap")
-        if tol:
-            p.add_argument("--tol", type=float, default=None, help="floating tolerance")
         p.add_argument("--out", default=None, help="write the report to this file")
         p.add_argument("--json", dest="json_out", default=None,
                        help="also write a JSON mirror of the report")
@@ -541,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a named validation suite")
     p.add_argument("--mode", choices=[m.value for m in SymmetryMode], default=None,
                    help="symmetry mode (default: every mode)")
-    common(p, cap=True, tol=True)
+    common(p, cap=True)
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--order", "--max-order", dest="order", type=int, default=None,
                    help="order bound for the delta2 sweep (default 3)")

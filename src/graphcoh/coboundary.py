@@ -229,13 +229,17 @@ class DeltaMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.codomain), len(self.domain))
 
+    @functools.cached_property
+    def _reduced(self) -> dict[int, dict[int, Fraction]]:
+        """The reduced row echelon form, computed once; entries must not change after."""
+        return rref(len(self.domain), self.entries)
+
     def rank(self) -> int:
-        return len(rref(len(self.domain), self.entries))
+        return len(self._reduced)
 
     def kernel(self) -> list[dict[int, Fraction]]:
         """Sparse kernel vectors {domain index: coefficient}, one per free column."""
-        n = len(self.domain)
-        return kernel_basis(n, rref(n, self.entries))
+        return kernel_basis(len(self.domain), self._reduced)
 
 
 def delta_matrix(

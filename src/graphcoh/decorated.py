@@ -329,10 +329,9 @@ def ihx_violation(
 
     The tested identity is
     sum_e f[a,b,e] f[e,c,d] - f[a,c,e] f[e,b,d] + f[a,d,e] f[e,b,c] = 0.
-    Raises NotAntisymmetric when the input is not fully antisymmetric.
+    Raises ShapeMismatch unless f has valence 3, and NotAntisymmetric when
+    it is not fully antisymmetric.
     """
-    if f.valence != 3:
-        raise ShapeMismatch(f"need a valence-3 tensor, got valence {f.valence}")
     return jacobi_violation(f, tolerance)
 
 

@@ -8,12 +8,14 @@ canonical one (no vertex permutation reaches a lexicographically smaller
 flattened edge list) and no self-symmetry carries sign -1.
 
 One vectorized sweep serves every cell: the live rows meet one vertex
-permutation at a time, each permuted row compared with its original
-lexicographically, at the first column where the two differ, and the rows
-a permutation beats are dropped before the next.  Permutations come in
-order of how many points they move, transpositions first, since the
-cheapest moves kill most rows.  Rows that survive every permutation are
-decoded into classes.
+permutation at a time, each permuted row compared with its original at
+the first column where the two differ.  Before the next permutation the
+sweep drops the rows it beats and the rows it fixes with sign -1, whose
+classes are zero.  A row's verdict depends only on its own images, so
+dropping other rows early changes nothing.  Permutations come in order of
+how many points they move, transpositions first, since the cheapest moves
+kill most rows.  Rows that survive every permutation are the canonical
+nonzero ones and are decoded into classes.
 
 Enumeration refuses to start when the labeled universe would exceed a
 multiple of the configured class cap, or when V > 8 puts the exhaustive
@@ -102,41 +104,33 @@ def _valence_filter(arr: np.ndarray, v: int, mode: SymmetryMode, tables, trivale
     return arr[keep]
 
 
-def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rowwise: is row a lexicographically less than row b?
-
-    The rows are compared at their first differing column; equal rows
-    compare at column 0 and are not less.
-    """
+def _first_difference(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rowwise entries of a and b at the first column where they differ;
+    equal rows give their (equal) entries at column 0."""
     rows = np.arange(a.shape[0])
     first = (a != b).argmax(axis=1)
-    return a[rows, first] < b[rows, first]
+    return a[rows, first], b[rows, first]
 
 
-def _bulk_survivors(arr: np.ndarray, mode: SymmetryMode, tables):
-    """Canonical rows of the labeled universe plus their zero-class flags.
+def _bulk_survivors(arr: np.ndarray, mode: SymmetryMode, tables) -> np.ndarray:
+    """The canonical nonzero rows of the labeled universe.
 
-    A row survives when no permutation moves it to a more canonical row
-    (see canonical._canonical_ties: lexicographically least in LITERAL
-    mode, greatest otherwise).  Zero detection then runs over the
-    survivors only.
+    A row is dropped at the first permutation that moves it to a more
+    canonical row (see canonical._canonical_ties: lexicographically least
+    in LITERAL mode, greatest otherwise) or fixes it with sign -1.
     """
     literal = mode is SymmetryMode.LITERAL
     images = np.array(tables.perms)
     moved_points = (images != np.arange(1, images.shape[1] + 1)).sum(axis=1)
     live = arr
     for g in np.argsort(moved_points, kind="stable")[1:]:  # [0] is the identity
-        moved = _act(tables, mode, live, g)
-        less = _lex_less(moved, live) if literal else _lex_less(live, moved)
-        live = live[~less]
-
-    # Zero detection: a survivor is zero when a permutation fixing it has sign -1.
-    zero = np.zeros(live.shape[0], dtype=bool)
-    for g in range(1, len(tables.perms)):
-        eq = (_act(tables, mode, live, g) == live).all(axis=1)
-        if eq.any():
-            zero[eq] |= _signs(tables, mode, live[eq], g) == -1
-    return live, zero
+        row, image = _first_difference(live, _act(tables, mode, live, g))
+        drop = image < row if literal else image > row
+        fixed = image == row
+        if fixed.any():
+            drop[fixed] = _signs(tables, mode, live[fixed], g) == -1
+        live = live[~drop]
+    return live
 
 
 def enumerate_by_counts(
@@ -169,11 +163,9 @@ def enumerate_by_counts(
     tables = _perm_tables(v)
     arr = _labeled_universe(v, e, mode, tables)
     arr = _valence_filter(arr, v, mode, tables, trivalent)
-    rows, zero = _bulk_survivors(arr, mode, tables)
     classes = [
         GraphClass(_skeleton_from_row(v, row, mode, tables.pairs), 1, mode)
-        for row, z in zip(rows, zero)
-        if not z
+        for row in _bulk_survivors(arr, mode, tables)
     ]
     if connected:
         classes = [c for c in classes if is_connected(c.skeleton)]

@@ -118,8 +118,6 @@ _BUILTIN_TABLES = {"su2": eps_tensor}
 
 
 def _validate_structure(f: EquivariantTensor, tolerance: float | None) -> None:
-    if f.valence != 3:
-        raise ShapeMismatch(f"structure constants must have valence 3, got {f.valence}")
     witness = jacobi_violation(f, tolerance)
     if witness is not None:
         raise JacobiFailed(witness)

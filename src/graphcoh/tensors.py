@@ -463,7 +463,10 @@ def jacobi_violation(f: EquivariantTensor, tolerance: float | None = None) -> tu
     sum_e f[a,b,e] f[e,c,d] - f[a,c,e] f[e,b,d] + f[a,d,e] f[e,b,c] = 0,
     which presumes full antisymmetry: NotAntisymmetric is raised first, at
     the first slot pair and index where swapping does not negate f.
+    ShapeMismatch is raised when f does not have valence 3.
     """
+    if f.valence != 3:
+        raise ShapeMismatch(f"need a valence-3 tensor, got valence {f.valence}")
     for k, l in itertools.combinations(range(1, 4), 2):
         witness = _swap_defect(f, k, l, -1, tolerance)
         if witness is not None:

@@ -337,7 +337,7 @@ FORCED_FAILURES = {
         ["double edge not detected as a zero class in mode edge-renumbering", "V 2 E 2\n1 2\n1 2"],
     ),
     "ihx": (
-        "ihx_violation", lambda tensor, tol=None: None, ["--tol", "1e-9"], "all",
+        "ihx_violation", lambda tensor, tol=None: None, [], "all",
         ["ok ihx eps holds", "ok ihx eps-block-sum holds"],
         ["perturbed table unexpectedly satisfies the identity"],
     ),
@@ -436,7 +436,6 @@ SUBCOMMAND_ARGV.update({f"check-{s}": ["check", "--suite", s] for s in cli.SUITE
 FLAG_VALUES = {"--tol": "1e-9", "--cap": "10", "--mode": "literal", "--order": "1",
                "--max-order": "1"}
 SUITE_READERS = {
-    "--tol": "--tol is read only by the suites ihx, decorated-delta2",
     "--cap": "--cap is read only by the suites delta2, canon, decorated-delta2",
     "--order": "--order/--max-order is read only by the suites delta2",
     "--max-order": "--order/--max-order is read only by the suites delta2",
@@ -445,10 +444,9 @@ SUITE_READERS = {
 
 @pytest.mark.parametrize(
     "command, flag",
-    [(c, "--tol") for c in ("enumerate", "delta", "cocycles", "mult", "pairing", "eval")]
+    [(c, "--tol") for c in SUBCOMMAND_ARGV]
     + [(c, "--cap") for c in ("mult", "pairing", "eval")]
     + [(c, "--mode") for c in ("mult", "pairing")]
-    + [(f"check-{s}", "--tol") for s in ("delta2", "canon", "multiplicities")]
     + [(f"check-{s}", "--cap") for s in ("ihx", "multiplicities")]
     + [(f"check-{s}", flag) for s in ("canon", "ihx", "multiplicities", "decorated-delta2")
        for flag in ("--order", "--max-order")],
@@ -458,7 +456,7 @@ def test_flags_a_subcommand_ignores_are_refused(capsys, command, flag):
         main(SUBCOMMAND_ARGV[command] + [flag, FLAG_VALUES[flag]])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    if command.startswith("check-"):
+    if command.startswith("check-") and flag in SUITE_READERS:
         suite = command.removeprefix("check-")
         assert err == f"graphcoh check: {SUITE_READERS[flag]}, not {suite}\n"
     else:
@@ -470,8 +468,8 @@ def test_flags_a_subcommand_ignores_are_refused(capsys, command, flag):
     [
         ["--suite", "delta2", "--max-order", "1", "--cap", "100000"],
         ["--suite", "canon", "--mode", "edge-renumbering", "--cap", "1000"],
-        ["--suite", "ihx", "--tol", "1e-9"],
-        ["--suite", "decorated-delta2", "--tol", "1e-9", "--cap", "1000"],
+        ["--suite", "ihx"],
+        ["--suite", "decorated-delta2", "--cap", "1000"],
     ],
 )
 def test_flags_a_suite_reads_are_accepted(capsys, argv):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from graphcoh import coboundary
 from graphcoh.canonical import canonicalize
 from graphcoh.coboundary import (
     Cochain,
@@ -287,6 +288,19 @@ def test_frozen_shapes_and_ranks():
     # literal V=5, E=6; sympy's DomainMatrix rank is also 268
     dm = delta_matrix(1, -3, connected=False)
     assert (dm.shape, dm.rank(), len(dm.kernel())) == ((280, 6505), 268, 6237)
+
+
+def test_rank_and_kernel_share_one_elimination(monkeypatch):
+    calls = []
+
+    def counting_rref(*args):
+        calls.append(args)
+        return rref(*args)
+
+    monkeypatch.setattr(coboundary, "rref", counting_rref)
+    dm = delta_matrix(1, -2, connected=False)
+    assert (dm.rank(), len(dm.kernel())) == (12, 268)
+    assert len(calls) == 1
 
 
 def test_trivalent_cell_frozen_dimensions():

@@ -1,15 +1,19 @@
 """Basis enumeration: oracle agreement, frozen counts, caps, determinism."""
 
+import hashlib
 import itertools
+import math
 
 import pytest
 
 import oracles
-from graphcoh.canonical import _perm_tables, _skeleton_from_row, canonicalize
+from graphcoh import enumeration
+from graphcoh.canonical import _act, _perm_tables, _skeleton_from_row, canonicalize
 from graphcoh.enumeration import (
     DEFAULT_CAP,
     _bulk_survivors,
     _labeled_universe,
+    _universe_size,
     _valence_filter,
     enumerate_by_counts,
     enumerate_grading,
@@ -116,28 +120,64 @@ def test_trivalent_cell_matches_oracle_in_edge_renumbering_mode():
     assert got == expected
 
 
+# sha256 of the repr of test_class_lists_are_frozen's call list, recorded
+# while zero classes were still flagged by a second permutation loop.
+FROZEN_CLASS_LISTS = "a49967ea8ebe96347aa982994d9e9426002b995e8998a33a8ea03ee29196b1dd"
+
+
+def test_class_lists_are_frozen():
+    """The class lists of every call with V <= 8, ceil(V/2) <= E <= 3V/2 + 1
+    and a labeled universe of at most 20,000 rows: both modes, connected
+    and not, and trivalent where 2E = 3V."""
+    calls = []
+    for mode in MODES:
+        for v in range(2, 9):
+            for e in range((v + 1) // 2, 3 * v // 2 + 2):
+                if _universe_size(v, e, mode) > 20_000:
+                    continue
+                for trivalent in (False, True) if 2 * e == 3 * v else (False,):
+                    for connected in (False, True):
+                        classes = enumerate_by_counts(
+                            v, e, connected=connected, trivalent=trivalent, mode=mode
+                        )
+                        edges = [cls.skeleton.edges for cls in classes]
+                        calls.append((mode.value, v, e, connected, trivalent, edges))
+    assert len(calls) == 82
+    assert hashlib.sha256(repr(calls).encode()).hexdigest() == FROZEN_CLASS_LISTS
+
+
 @pytest.mark.parametrize(
     "mode, vertices, edges",
-    [(SymmetryMode.LITERAL, 4, 5), (SymmetryMode.EDGE_RENUMBERING, 5, 6)],
+    [
+        (SymmetryMode.LITERAL, 4, 5),
+        (SymmetryMode.EDGE_RENUMBERING, 5, 6),
+        (SymmetryMode.EDGE_RENUMBERING, 6, 5),  # 11 of its 17 canonical rows are zero
+    ],
 )
-def test_sweep_keeps_exactly_the_canonical_rows(mode, vertices, edges):
-    """A filtered row survives the sweep iff it decodes to a canonical
-    skeleton, and it is flagged zero iff that class is zero."""
+def test_sweep_keeps_exactly_the_canonical_rows(monkeypatch, mode, vertices, edges):
+    """A filtered row survives the sweep iff it decodes to the canonical
+    skeleton of a nonzero class, and the sweep moves the rows by each
+    permutation but the identity once."""
     tables = _perm_tables(vertices)
     rows = _valence_filter(
         _labeled_universe(vertices, edges, mode, tables), vertices, mode, tables, False
     )
-    survivors, zero = _bulk_survivors(rows, mode, tables)
-    expected = {}
+    acts = []
+
+    def counting_act(*args):
+        acts.append(args)
+        return _act(*args)
+
+    monkeypatch.setattr(enumeration, "_act", counting_act)
+    survivors = _bulk_survivors(rows, mode, tables)
+    assert len(acts) == math.factorial(vertices) - 1
+    expected = set()
     for row in rows:
         skeleton = _skeleton_from_row(vertices, row, mode, tables.pairs)
         cls = canonicalize(skeleton, mode)
-        if cls.skeleton == skeleton:
-            expected[skeleton] = cls.is_zero
-    got = {
-        _skeleton_from_row(vertices, row, mode, tables.pairs): bool(z)
-        for row, z in zip(survivors, zero)
-    }
+        if cls.skeleton == skeleton and not cls.is_zero:
+            expected.add(skeleton)
+    got = {_skeleton_from_row(vertices, row, mode, tables.pairs) for row in survivors}
     assert len(got) == len(survivors)
     assert got == expected
 

@@ -28,6 +28,7 @@ from graphcoh.tensors import (
     format_tensor,
     half_half_one_generators,
     half_half_one_tensor,
+    jacobi_violation,
     levi_civita,
     make_tensor,
     pairing,
@@ -349,6 +350,15 @@ def test_float_copies_reach_the_exact_verdicts(make, lie):
     verdicts = _verdicts(exact)
     assert verdicts[2] == lie
     assert _verdicts(floating) == verdicts
+
+
+@pytest.mark.parametrize("valence", [2, 4])
+def test_jacobi_checks_refuse_other_valences(valence):
+    """The zero tensor is antisymmetric, so only the valence guard stops it."""
+    t = zero_tensor(valence, 3)
+    for check in (jacobi_violation, ihx_violation, lie_data):
+        with pytest.raises(ShapeMismatch, match=f"got valence {valence}"):
+            check(t)
 
 
 # ---------------------------------------------------------------------------
