@@ -16,8 +16,12 @@ The orientation of each edge and, in EDGE_RENUMBERING mode, the edge order
 are forced once the vertex permutation is fixed, so the group acts on rows:
 pair ids in edge order (LITERAL), or pair multiplicity vectors, where the
 greatest vector gives the least flattened edge list.  _act and _signs are
-that action and its sign; canonicalize moves one row by every permutation,
-and enumeration moves every row of a cell by one permutation at a time.
+that action and its sign, in three patterns: self_symmetries moves one row
+by every permutation, enumeration every row of a cell by one permutation
+at a time, and canonical_rows many rows by every permutation, in chunks
+under a fixed byte budget.  Rows compare as big-endian byte keys exactly
+as wide as their entries (_keys), so one argmin (argmax) picks each
+canonical row; canonicalize is canonical_rows on one row.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import numpy as np
 from .graphs import GraphSkeleton, SymmetryMode, grading
 
 _LARGE_FACTORIAL_GUARD = 8  # exhaustive search is meant for V <= 8
+_CHUNK_BYTES = 1 << 20  # canonical_rows moves about this many bytes of rows at a time
 
 
 @dataclass(frozen=True)
@@ -67,18 +72,18 @@ class GraphClass:
 class _PermTables:
     """Per-V tables describing how vertex permutations act on vertex pairs."""
 
-    __slots__ = ("perms", "parity", "pairs", "pair_id", "pair_map", "pair_flip", "pair_map_inv")
+    __slots__ = ("perms", "parity", "pairs", "pair_index", "pair_map", "pair_flip", "pair_map_inv")
 
     def __init__(self, v: int):
         perm_list = list(itertools.permutations(range(1, v + 1)))
         self.perms = perm_list  # lex order, identity first
         pairs = [(u, w) for u in range(1, v + 1) for w in range(u + 1, v + 1)]
         self.pairs = pairs
-        self.pair_id = {p: i for i, p in enumerate(pairs)}
         p = len(pairs)
         ids = np.zeros((v + 1, v + 1), dtype=np.uint8)  # p <= 28 pairs for V <= 8
-        for (u, w), i in self.pair_id.items():
+        for i, (u, w) in enumerate(pairs):
             ids[u, w] = ids[w, u] = i
+        self.pair_index = ids
         # images of each pair's ends under each permutation, shape (V!, p)
         images = np.array(perm_list, dtype=np.intp)
         a = images[:, [u - 1 for u, _ in pairs]]
@@ -103,12 +108,15 @@ def _perm_tables(v: int) -> _PermTables:
     return _PermTables(v)
 
 
-def _row_of(g: GraphSkeleton, mode: SymmetryMode, tables: _PermTables) -> np.ndarray:
-    """Pair-id row (LITERAL) or pair multiplicity vector (otherwise) of g."""
-    pid = np.array([tables.pair_id[(t, h) if t < h else (h, t)] for t, h in g.edges], dtype=np.int16)
+def _rows_of(gs, mode: SymmetryMode, tables: _PermTables) -> tuple[np.ndarray, np.ndarray]:
+    """Pair-id rows (LITERAL) or pair multiplicity vectors (otherwise) of skeletons
+    with one vertex and edge count, and each one's count of edges oriented tail > head."""
+    ends = np.array([x for g in gs for e in g.edges for x in e], np.intp).reshape(len(gs), -1 if gs else 0, 2)
+    pid = tables.pair_index[ends[..., 0], ends[..., 1]]
+    reversals = (ends[..., 0] > ends[..., 1]).sum(axis=1)
     if mode is SymmetryMode.LITERAL:
-        return pid
-    return np.bincount(pid, minlength=len(tables.pairs)).astype(np.int16)
+        return pid, reversals
+    return (pid[..., None] == np.arange(len(tables.pairs))).sum(axis=1, dtype=np.int16), reversals
 
 
 def _skeleton_from_row(v: int, row, mode: SymmetryMode, pairs) -> GraphSkeleton:
@@ -123,45 +131,61 @@ def _skeleton_from_row(v: int, row, mode: SymmetryMode, pairs) -> GraphSkeleton:
 def _act(tables: _PermTables, mode: SymmetryMode, rows: np.ndarray, g) -> np.ndarray:
     """Rows moved by vertex permutation g: one index, or slice(None) for all.
 
-    Either many rows meet one permutation, or one row meets every
-    permutation; the result has one moved row per (row, permutation).
+    Many rows meet one permutation, one row meets every permutation, or
+    many rows meet every permutation; the result has one moved row per
+    (row, permutation), rows first.
     """
     if mode is SymmetryMode.LITERAL:
-        return tables.pair_map[g][..., rows]
+        moved = tables.pair_map[g][..., rows]
+        return moved.swapaxes(0, 1) if moved.ndim == 3 else moved
     return rows[..., tables.pair_map_inv[g]]
 
 
-def _signs(tables: _PermTables, mode: SymmetryMode, rows: np.ndarray, g, reversals: int = 0):
+def _signs(tables: _PermTables, mode: SymmetryMode, rows: np.ndarray, g, reversals=0):
     """Signs of the moves made by _act: the parity of g times -1 for every
     edge reversal it forces, plus `reversals` already stored in the rows."""
     flip = tables.pair_flip[g]
     if mode is SymmetryMode.LITERAL:
-        flips = flip[..., rows].sum(axis=-1)
+        flips = flip[..., rows].sum(axis=-1).T
     else:
         flips = rows.astype(np.int16) @ flip.T
     return tables.parity[g] * (1 - 2 * ((flips + reversals) & 1))
 
 
-def _canonical_ties(mode: SymmetryMode, cand: np.ndarray) -> np.ndarray:
-    """Mask of the rows equal to the canonical one: the least pair-id row in
-    LITERAL mode, else the greatest multiplicity vector."""
-    order = np.lexsort(cand.T[::-1]) if cand.shape[1] else [0]
-    best = cand[order[0] if mode is SymmetryMode.LITERAL else order[-1]]
-    return (cand == best).all(axis=1)
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """One byte key per row of nonnegative entries, ordered as the rows are:
+    big-endian and exactly as wide as the entries, or the order is wrong."""
+    width = rows.shape[-1] * rows.dtype.itemsize
+    if width == 0:  # the empty graph; S0 is no dtype
+        return np.zeros(rows.shape[:-1], dtype="S1")
+    return np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">")).view(f"S{width}")[..., 0]
+
+
+def canonical_rows(tables: _PermTables, mode: SymmetryMode, rows: np.ndarray, reversals: np.ndarray):
+    """Canonical row (least in LITERAL mode, else greatest), the first
+    permutation reaching it, that witness's sign and whether another one
+    has the other sign (a zero class), for each row of a stack holding
+    `reversals` stored edge reversals each."""
+    step = max(1, _CHUNK_BYTES // (len(tables.perms) * (rows.shape[1] + 1)))
+    parts = []
+    for lo in range(0, len(rows) or 1, step):  # an empty stack still gives empty results
+        chunk = rows[lo : lo + step]
+        cand = _act(tables, mode, chunk, slice(None))
+        signs = _signs(tables, mode, chunk, slice(None), reversals[lo : lo + step, None])
+        keys = _keys(cand)
+        pick = keys.argmin(axis=1) if mode is SymmetryMode.LITERAL else keys.argmax(axis=1)
+        at = np.arange(len(chunk))
+        zero = ((keys == keys[at, pick, None]) & (signs != signs[at, pick, None])).any(axis=1)
+        parts.append((cand[at, pick], pick, signs[at, pick], zero))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 @functools.lru_cache(maxsize=1 << 18)
 def _canonicalize_cached(g: GraphSkeleton, mode: SymmetryMode):
     tables = _perm_tables(g.vertex_count)
-    row = _row_of(g, mode, tables)
-    cand = _act(tables, mode, row, slice(None))
-    signs = _signs(tables, mode, row, slice(None), sum(1 for t, h in g.edges if t > h))
-    ties = _canonical_ties(mode, cand)
-    best = int(ties.argmax())  # the first permutation reaching the canonical row
-    tie_signs = set(signs[ties].tolist())
-    skeleton = _skeleton_from_row(g.vertex_count, cand[best], mode, tables.pairs)
-    sign_state = 0 if len(tie_signs) == 2 else tie_signs.pop()
-    return GraphClass(skeleton, sign_state, mode), tables.perms[best], int(signs[best])
+    (best,), (witness,), (sign,), (zero,) = canonical_rows(tables, mode, *_rows_of([g], mode, tables))
+    skeleton = _skeleton_from_row(g.vertex_count, best, mode, tables.pairs)
+    return GraphClass(skeleton, 0 if zero else int(sign), mode), tables.perms[witness], int(sign)
 
 
 def canonicalize(g: GraphSkeleton, mode: SymmetryMode = SymmetryMode.LITERAL) -> GraphClass:
@@ -199,7 +223,7 @@ def self_symmetries(g: GraphSkeleton, mode: SymmetryMode = SymmetryMode.LITERAL)
     if any(t > h for t, h in g.edges):
         raise ValueError("self_symmetries expects every edge oriented tail < head")
     tables = _perm_tables(g.vertex_count)
-    row = _row_of(g, mode, tables)
+    row = _rows_of([g], mode, tables)[0][0]
     fixing = (_act(tables, mode, row, slice(None)) == row).all(axis=1)
     signs = _signs(tables, mode, row, slice(None))
     return [(tables.perms[i], int(signs[i])) for i in np.nonzero(fixing)[0]]

@@ -11,8 +11,13 @@ max(i, j) down by one, deletes edge e and shifts higher edge numbers down
 by one.  delta raises the degree by one and keeps the order, and squares
 to zero on classes; both facts are exercised by the test suite rather than
 assumed.  This module owns that contraction: _contract is the only code
-that builds a contracted edge list or renumbers vertices, and
-contract_edge, delta and the decorated delta all call it.
+that builds a contracted edge list or renumbers vertices.  contract_edge
+and the decorated delta call it; delta and delta_matrix contract all pair
+rows of canonical at once through tables read off _contract
+(_contraction_tables) and canonicalize the images in one canonical_rows
+call.  delta_matrix finds each image among the codomain rows by byte key
+and keeps its columns in a per-class memo of at most 2**17 classes, which
+delta reads and fills in with one more such call.
 
 Ranks and kernels are computed over exact rationals by one sparse
 Gauss-Jordan pass over the matrix's own (row, col) entries: columns are
@@ -25,15 +30,18 @@ affects fill-in; everything is deterministic for fixed bases.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .canonical import GraphClass, canonicalize
+import numpy as np
+
+from .canonical import GraphClass, _keys, _perm_tables, _rows_of, _skeleton_from_row, canonical_rows
 from .enumeration import enumerate_grading
 from .errors import DegenerateContraction, FormatError, NotRegular, _data_lines
-from .graphs import GraphSkeleton, SymmetryMode, regular_edges
+from .graphs import GraphSkeleton, SymmetryMode
 
 
 def contraction_sign(i: int, j: int) -> int:
@@ -175,32 +183,81 @@ class Cochain:
         return "Cochain(" + " + ".join(bits) + ")"
 
 
-@functools.lru_cache(maxsize=1 << 17)
-def _delta_of_class(graph_class: GraphClass) -> dict[GraphClass, Fraction]:
-    """delta of one basis class as {basis class: nonzero coefficient}; callers must not mutate it."""
-    g = graph_class.skeleton
-    valences = g.valences()
-    acc: dict[GraphClass, Fraction] = {}
-    for e in regular_edges(g):
-        contracted, sign, _ = _contract(g, e, valences)
-        if contracted is None:
-            # the would-be bare vertex is not a graph; its class is zero here
-            continue
-        cls = canonicalize(contracted, graph_class.mode)
-        if cls.is_zero:
-            continue
-        key = cls.basis_class()
-        acc[key] = acc.get(key, Fraction(0)) + sign * cls.sign_state
-    return {k: v for k, v in acc.items() if v}
+@functools.lru_cache(maxsize=None)
+def _contraction_tables(v: int):
+    """Contracting pair c of a V-vertex row moves pair q to pair target[c, q]
+    at V-1 (a spare last id for q = c), reversed where flip[c, q], with sign
+    sign[c]; touch[c, q] says that q != c shares an end with c.  All four
+    are read off _contract on the complete graph."""
+    pairs, below = _perm_tables(v).pairs, _perm_tables(v - 1)
+    complete, p = GraphSkeleton(v, tuple(pairs)), len(pairs)
+    target = np.full((p, p), len(below.pairs), dtype=np.int16)
+    (flip, touch), sign = np.zeros((2, p, p), dtype=bool), np.empty(p, dtype=np.int64)
+    for c, (lo, _) in enumerate(pairs):
+        contracted, sign[c], _ = _contract(complete, c + 1, complete.valences())
+        for q, (t, h) in zip([q for q in range(p) if q != c], contracted.edges if contracted else ()):
+            # q shares an end with c exactly when its image meets the merged vertex lo
+            target[c, q], flip[c, q], touch[c, q] = below.pair_index[t, h], t > h, lo in (t, h)
+    return target, flip, sign, touch
+
+
+def _images(classes: Sequence[GraphClass]):
+    """(source index, canonical image row, coefficient) of every term of delta
+    on basis classes of one grading and mode, as rows; zero images are
+    dropped and equal ones are not yet summed."""
+    mode, v = classes[0].mode, classes[0].skeleton.vertex_count
+    rows, reversals = _rows_of([c.skeleton for c in classes], mode, _perm_tables(v))
+    if v < 2:  # the empty graph has nothing to contract
+        return np.zeros(0, dtype=np.intp), rows[:0], np.zeros(0, dtype=np.int64)
+    target, flip, sign, touch = _contraction_tables(v)
+    mult = (rows[..., None] == np.arange(len(target))).sum(axis=1) if mode is SymmetryMode.LITERAL else rows
+    # regular pairs, unless no other edge meets their ends (a bare vertex is not a graph)
+    src, pair = np.nonzero((mult == 1) & (mult @ touch > 0))
+    if mode is SymmetryMode.LITERAL:
+        others = rows[src][rows[src] != pair[:, None]].reshape(len(src), rows.shape[1] - 1)
+        image, flips = target[pair[:, None], others], flip[pair[:, None], others].sum(axis=1)
+    else:
+        image = np.zeros((len(src), target.max(initial=0) + 1), dtype=np.int16)
+        np.add.at(image, (np.arange(len(src))[:, None], target[pair]), rows[src])
+        image, flips = image[:, :-1], (rows[src] * flip[pair]).sum(axis=1)
+    best, _, relation, zero = canonical_rows(_perm_tables(v - 1), mode, image, flips)
+    # every edge reversal stored in a row flips the sign of each of its contractions
+    coeff = sign[pair] * relation * (1 - 2 * (reversals[src] & 1))
+    return src[~zero], best[~zero], coeff[~zero]
+
+
+_COLUMN_BOUND = 1 << 17  # classes whose delta _COLUMNS keeps
+_COLUMNS: dict[GraphClass, dict[GraphClass, int]] = {}
+
+
+def _remember(columns: Iterable[tuple[GraphClass, dict[GraphClass, int]]]) -> None:
+    """Store delta columns by class, dropping the oldest past the bound."""
+    _COLUMNS.update(columns)
+    for stale in list(itertools.islice(_COLUMNS, max(0, len(_COLUMNS) - _COLUMN_BOUND))):
+        del _COLUMNS[stale]
 
 
 def delta(c: Cochain | GraphClass) -> Cochain:
     """Coboundary of a cochain (or of a single class, sign folded in)."""
     if isinstance(c, GraphClass):
         c = Cochain.from_class(c)
+    columns = {cls: _COLUMNS.get(cls) for cls in c._terms}
+    missing = [cls for cls, col in columns.items() if col is None]
+    if missing:  # contract them all at once, naming each distinct image class once
+        mode, v = c.mode, missing[0].skeleton.vertex_count - 1
+        found: dict[bytes, GraphClass] = {}
+        sums: list[dict[GraphClass, int]] = [{} for _ in missing]
+        src, image, coeff = _images(missing)
+        for s, row, k in zip(src.tolist(), image, coeff.tolist()):
+            key = row.tobytes()
+            target = found[key] = found.get(key) or GraphClass(
+                _skeleton_from_row(v, row, mode, _perm_tables(v).pairs), 1, mode)
+            sums[s][target] = sums[s].get(target, 0) + k
+        columns.update((cls, {t: k for t, k in col.items() if k}) for cls, col in zip(missing, sums))
+        _remember((cls, columns[cls]) for cls in missing)
     acc: dict[GraphClass, Fraction] = {}
     for cls, coeff in c._terms.items():
-        for target, v in _delta_of_class(cls).items():
+        for target, v in columns[cls].items():
             acc[target] = acc.get(target, Fraction(0)) + coeff * v
     out = Cochain(acc)
     if not c.is_zero and not out.is_zero:
@@ -253,16 +310,23 @@ def delta_matrix(
     """Matrix of delta from grading (order, degree) to (order, degree + 1)."""
     domain = tuple(enumerate_grading(order, degree, connected=connected, mode=mode, cap=cap))
     codomain = tuple(enumerate_grading(order, degree + 1, connected=connected, mode=mode, cap=cap))
-    index = {cls: i for i, cls in enumerate(codomain)}
     entries: dict[tuple[int, int], Fraction] = {}
-    for col, cls in enumerate(domain):
-        for target, coeff in _delta_of_class(cls).items():
-            row = index.get(target)
-            if row is None:
-                raise AssertionError(
-                    f"delta image {target.skeleton.edges} missing from codomain basis"
-                )
-            entries[(row, col)] = coeff
+    if domain:
+        v, below = domain[0].skeleton.vertex_count, _perm_tables(domain[0].skeleton.vertex_count - 1)
+        col, image, coeff = _images(domain)
+        keys, found = _keys(_rows_of([c.skeleton for c in codomain], mode, below)[0]), _keys(image)
+        by_key = np.argsort(keys)
+        pos, hit = np.searchsorted(keys[by_key], found), np.isin(found, keys)
+        if not hit.all():
+            missing = _skeleton_from_row(v - 1, image[hit.argmin()], mode, below.pairs)
+            raise AssertionError(f"delta image {missing.edges} missing from codomain basis")
+        cells, inverse = np.unique(col * len(codomain) + by_key[pos], return_inverse=True)
+        columns: list[dict[GraphClass, int]] = [{} for _ in domain]
+        for cell, k in zip(cells.tolist(), np.bincount(inverse, coeff).astype(np.int64).tolist()):
+            if k:
+                c, r = divmod(cell, len(codomain))
+                columns[c][codomain[r]], entries[(r, c)] = k, Fraction(k)
+        _remember(zip(domain, columns))
     return DeltaMatrix(order, degree, mode, connected, domain, codomain, entries)
 
 

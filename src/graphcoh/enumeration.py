@@ -8,8 +8,8 @@ canonical one (no vertex permutation reaches a lexicographically smaller
 flattened edge list) and no self-symmetry carries sign -1.
 
 One vectorized sweep serves every cell: the live rows meet one vertex
-permutation at a time, each permuted row compared with its original at
-the first column where the two differ.  Before the next permutation the
+permutation at a time, each permuted row compared with its original by
+their byte keys (canonical._keys).  Before the next permutation the
 sweep drops the rows it beats and the rows it fixes with sign -1, whose
 classes are zero.  A row's verdict depends only on its own images, so
 dropping other rows early changes nothing.  Permutations come in order of
@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .canonical import _LARGE_FACTORIAL_GUARD, GraphClass, _act, _perm_tables, _signs, _skeleton_from_row
+from .canonical import _LARGE_FACTORIAL_GUARD, GraphClass, _act, _keys, _perm_tables, _signs, _skeleton_from_row
 from .errors import BasisTooLarge
 from .graphs import SymmetryMode, counts_for_grading, is_connected
 
@@ -104,19 +104,11 @@ def _valence_filter(arr: np.ndarray, v: int, mode: SymmetryMode, tables, trivale
     return arr[keep]
 
 
-def _first_difference(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rowwise entries of a and b at the first column where they differ;
-    equal rows give their (equal) entries at column 0."""
-    rows = np.arange(a.shape[0])
-    first = (a != b).argmax(axis=1)
-    return a[rows, first], b[rows, first]
-
-
 def _bulk_survivors(arr: np.ndarray, mode: SymmetryMode, tables) -> np.ndarray:
     """The canonical nonzero rows of the labeled universe.
 
     A row is dropped at the first permutation that moves it to a more
-    canonical row (see canonical._canonical_ties: lexicographically least
+    canonical row (see canonical.canonical_rows: lexicographically least
     in LITERAL mode, greatest otherwise) or fixes it with sign -1.
     """
     literal = mode is SymmetryMode.LITERAL
@@ -124,7 +116,7 @@ def _bulk_survivors(arr: np.ndarray, mode: SymmetryMode, tables) -> np.ndarray:
     moved_points = (images != np.arange(1, images.shape[1] + 1)).sum(axis=1)
     live = arr
     for g in np.argsort(moved_points, kind="stable")[1:]:  # [0] is the identity
-        row, image = _first_difference(live, _act(tables, mode, live, g))
+        row, image = _keys(live), _keys(_act(tables, mode, live, g))
         drop = image < row if literal else image > row
         fixed = image == row
         if fixed.any():

@@ -11,6 +11,9 @@ import oracles
 from graphcoh.canonical import (
     GraphClass,
     _perm_tables,
+    _rows_of,
+    _skeleton_from_row,
+    canonical_rows,
     canonicalize,
     self_symmetries,
     transport_to_canonical,
@@ -107,6 +110,52 @@ def test_oracle_agreement_is_exhaustive_on_three_vertices(mode):
             cls = canonicalize(new_graph(3, edges), mode)
             assert cls.skeleton.edges == form
             assert cls.sign_state == sign
+
+
+def assert_batch_matches_oracle(gs, mode):
+    """canonical_rows on a stack of same-size skeletons agrees row by row
+    with the oracle: canonical edges, zero verdict, and (nonzero classes,
+    or any literal class) the witness sign."""
+    v = gs[0].vertex_count
+    tables = _perm_tables(v)
+    best, witness, sign, zero = canonical_rows(tables, mode, *_rows_of(gs, mode, tables))
+    for g, row, perm, s, z in zip(gs, best, witness, sign, zero):
+        form, oracle_sign = oracles.canonical_class(v, g.edges, mode.value)
+        assert _skeleton_from_row(v, row, mode, tables.pairs).edges == form
+        assert bool(z) == (oracle_sign == 0)
+        if not z:
+            assert s == oracle_sign
+        if mode is SymmetryMode.LITERAL:
+            assert (form, tables.perms[perm], s) == oracles.canonical_witness(v, g.edges)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@given(gs=st.lists(skeletons(max_vertices=5, max_edges=5), min_size=1, max_size=12))
+def test_batched_canonical_forms_match_oracle(mode, gs):
+    cells = {}
+    for g in gs:
+        cells.setdefault((g.vertex_count, g.edge_count), []).append(g)
+    for stack in cells.values():
+        assert_batch_matches_oracle(stack, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "gs",
+    [
+        [EMPTY_GRAPH],
+        [new_graph(2, [(1, 2)]), new_graph(2, [(2, 1)])],
+        [new_graph(2, [(1, 2), (2, 1), (1, 2)]), new_graph(2, [(1, 2), (1, 2), (1, 2)])],
+        # a multiplicity past 255 needs two bytes per entry in the key
+        [new_graph(3, [(1, 2)] * 300 + [(2, 3)] * 2 + [(1, 3)]),
+         new_graph(3, [(2, 3)] * 2 + [(1, 3)] * 300 + [(2, 1)])],
+        # and they must be big-endian: little-endian bytes put 255 above 256
+        [new_graph(3, [(1, 2)] * 256 + [(2, 3)] * 255 + [(1, 3)])],
+    ],
+    ids=["empty", "one-edge", "two-vertex", "wide-multiplicity", "big-endian"],
+)
+def test_batched_canonical_forms_on_edge_cases(mode, gs):
+    assert_batch_matches_oracle(gs, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Coboundary by contraction: signs, cochains, matrices, exact kernels."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from graphcoh import coboundary
+from graphcoh import canonical, coboundary, enumeration
 from graphcoh.canonical import canonicalize
 from graphcoh.coboundary import (
     Cochain,
@@ -376,6 +377,100 @@ def test_composite_matrix_vanishes():
 def test_delta_matrix_respects_the_cap():
     with pytest.raises(BasisTooLarge):
         delta_matrix(2, 0, connected=True, mode=SymmetryMode.LITERAL, cap=10)
+
+
+# ---------------------------------------------------------------------------
+# The row-space delta kernel against the oracle, and its column memo.
+# ---------------------------------------------------------------------------
+
+
+def whole_cells(vertex_counts):
+    """(order, degree) of every cell of non-positive degree at these vertex counts."""
+    return [(e - v, 2 * e - 3 * v) for v in vertex_counts for e in range((v + 1) // 2, 3 * v // 2 + 1)]
+
+
+@pytest.mark.parametrize("connected", (False, True))
+@pytest.mark.parametrize(
+    "mode, vertex_counts",
+    [(SymmetryMode.LITERAL, (2, 3, 4)), (SymmetryMode.EDGE_RENUMBERING, (2, 3, 4, 5))],
+    ids=["literal", "edge-renumbering"],
+)
+def test_delta_matrix_matches_oracle_on_whole_cells(mode, vertex_counts, connected):
+    for order, degree in whole_cells(vertex_counts):
+        dm = delta_matrix(order, degree, connected=connected, mode=mode)
+        row_of = {cls.skeleton.edges: r for r, cls in enumerate(dm.codomain)}
+        expected = {}
+        for col, cls in enumerate(dm.domain):
+            g = cls.skeleton
+            for form, coeff in oracles.delta_map(g.vertex_count, g.edges, mode.value).items():
+                expected[(row_of[form], col)] = coeff
+        assert dm.entries == expected, (order, degree)
+
+
+@pytest.mark.parametrize(
+    "mode, order, degree", [(SymmetryMode.LITERAL, 2, 0), (SymmetryMode.EDGE_RENUMBERING, 3, 0)]
+)
+def test_delta_reads_the_same_from_a_cold_and_a_warm_memo(monkeypatch, mode, order, degree):
+    monkeypatch.setattr(coboundary, "_COLUMNS", {})
+    dm = delta_matrix(order, degree, mode=mode)
+    warm = coboundary._COLUMNS
+    rng = random.Random(f"{mode.value} {order} {degree}")
+    for _ in range(25):
+        picks = rng.sample(range(len(dm.domain)), rng.randint(1, 6))
+        c = Cochain({dm.domain[j]: rng.choice((-3, -2, -1, 1, 2, 3)) for j in picks})
+        monkeypatch.setattr(coboundary, "_COLUMNS", {})
+        cold = delta(c)
+        monkeypatch.setattr(coboundary, "_COLUMNS", warm)
+        assert delta(c) == cold
+        columns = [(dm.codomain[r], c.coefficient(dm.domain[j]) * v) for (r, j), v in dm.entries.items()]
+        assert cold == Cochain(columns)
+
+
+def test_delta_matrix_names_an_image_missing_from_the_codomain(monkeypatch):
+    def without_first(order, degree, **kwargs):
+        classes = enumeration.enumerate_grading(order, degree, **kwargs)
+        return classes[1:] if degree == 1 else classes
+
+    monkeypatch.setattr(coboundary, "enumerate_grading", without_first)
+    with pytest.raises(AssertionError, match="missing from codomain basis"):
+        delta_matrix(2, 0, mode=SymmetryMode.EDGE_RENUMBERING)
+
+
+def test_column_memo_keeps_the_newest_classes_up_to_its_bound(monkeypatch):
+    monkeypatch.setattr(coboundary, "_COLUMNS", {})
+    monkeypatch.setattr(coboundary, "_COLUMN_BOUND", 5)
+    dm = delta_matrix(2, 0, mode=SymmetryMode.EDGE_RENUMBERING)
+    assert list(coboundary._COLUMNS) == list(dm.domain[-5:])
+
+
+def test_delta_reuses_the_columns_of_delta_matrix(monkeypatch):
+    monkeypatch.setattr(coboundary, "_COLUMNS", {})
+    misses = canonical._canonicalize_cached.cache_info().misses
+    dm = delta_matrix(3, 0, mode=SymmetryMode.EDGE_RENUMBERING)
+    assert canonical._canonicalize_cached.cache_info().misses == misses
+
+    def no_contraction(classes):
+        raise AssertionError("delta contracted classes that delta_matrix had stored")
+
+    monkeypatch.setattr(coboundary, "_images", no_contraction)
+    image = delta(Cochain({cls: 1 for cls in dm.domain}))
+    assert image == Cochain([(dm.codomain[r], v) for (r, _), v in dm.entries.items()])
+
+
+def test_delta_of_a_class_from_a_refused_cell_never_enumerates(monkeypatch):
+    with pytest.raises(BasisTooLarge):
+        enumeration.enumerate_by_counts(6, 6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("delta enumerated a cell")
+
+    monkeypatch.setattr(coboundary, "enumerate_grading", refuse)
+    monkeypatch.setattr(enumeration, "enumerate_by_counts", refuse)
+    monkeypatch.setattr(coboundary, "_COLUMNS", {})
+    cls = canonicalize(new_graph(6, [(1, 2), (1, 3), (1, 4), (4, 5), (4, 6), (2, 3)]))
+    got = {c.skeleton.edges: v for c, v in delta(cls).terms.items()}
+    assert len(got) == 3
+    assert got == oracles.delta_map(6, cls.skeleton.edges, "literal")
 
 
 # ---------------------------------------------------------------------------
