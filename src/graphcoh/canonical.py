@@ -36,6 +36,7 @@ from .graphs import GraphSkeleton, SymmetryMode, grading
 
 _LARGE_FACTORIAL_GUARD = 8  # exhaustive search is meant for V <= 8
 _CHUNK_BYTES = 1 << 20  # canonical_rows moves about this many bytes of rows at a time
+_MODES = tuple(SymmetryMode)
 
 
 @dataclass(frozen=True)
@@ -44,12 +45,21 @@ class GraphClass:
 
     sign_state is +1 or -1 and relates the *input* of canonicalize to the
     canonical skeleton (input = sign_state * canonical), or 0 when the
-    class is zero because some self-symmetry carries net sign -1.
+    class is zero because some self-symmetry carries net sign -1.  The
+    hash is computed once, from ints only (the mode by its position, since
+    an enum hashes its name, a str), like the skeleton's.
     """
 
     skeleton: GraphSkeleton
     sign_state: int
     mode: SymmetryMode
+
+    def __post_init__(self):
+        mode = _MODES.index(self.mode)
+        object.__setattr__(self, "_hash", hash((self.skeleton, self.sign_state, mode)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_zero(self) -> bool:

@@ -17,6 +17,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from .canonical import canonicalize
 from .coboundary import (
@@ -110,14 +111,15 @@ def _is_decoration_file(text: str) -> bool:
     return next(_data_lines(text), (0, ""))[1].startswith("vertex ")
 
 
-def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> None:
+def _emit(args: argparse.Namespace, lines: list[str], payload: Callable[[], dict]) -> None:
+    """Write the report; payload builds its --json mirror and is called only for --json."""
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     if args.json_out:
-        Path(args.json_out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        Path(args.json_out).write_text(json.dumps(payload(), indent=2, sort_keys=True) + "\n")
 
 
 def _graph_json(g: GraphSkeleton) -> dict:
@@ -139,13 +141,14 @@ def _grading_header(args: argparse.Namespace, counts: str) -> list[str]:
     ]
 
 
-def _grading_payload(args: argparse.Namespace) -> dict:
+def _grading_payload(args: argparse.Namespace, **fields) -> dict:
     return {
         "command": args.command,
         "mode": args.mode.value,
         "order": args.order,
         "degree": args.degree,
         "connected": args.connected,
+        **fields,
     }
 
 
@@ -158,9 +161,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     lines = _grading_header(args, f"classes {len(skeletons)}")
     if skeletons:
         lines.append(format_graphs(skeletons, ids=ids).rstrip("\n"))
-    payload = _grading_payload(args)
-    payload["classes"] = {i: _graph_json(g) for i, g in zip(ids, skeletons)}
-    _emit(args, lines, payload)
+    _emit(args, lines, lambda: _grading_payload(
+        args, classes={i: _graph_json(g) for i, g in zip(ids, skeletons)}))
     return 0
 
 
@@ -168,13 +170,11 @@ def cmd_delta(args: argparse.Namespace) -> int:
     dm = delta_matrix(
         args.order, args.degree, connected=args.connected, mode=args.mode, cap=args.cap
     )
-    payload = _grading_payload(args)
-    payload["rows"], payload["cols"] = dm.shape
-    payload["entries"] = [
-        {"row": r + 1, "col": c + 1, "value": str(dm.entries[(r, c)])}
-        for (r, c) in sorted(dm.entries)
-    ]
-    _emit(args, ["# graphcoh delta", format_matrix(dm).rstrip("\n")], payload)
+    _emit(args, ["# graphcoh delta", format_matrix(dm).rstrip("\n")], lambda: _grading_payload(
+        args, rows=dm.shape[0], cols=dm.shape[1], entries=[
+            {"row": r + 1, "col": c + 1, "value": str(dm.entries[(r, c)])}
+            for (r, c) in sorted(dm.entries)
+        ]))
     return 0
 
 
@@ -191,12 +191,10 @@ def cmd_cocycles(args: argparse.Namespace) -> int:
     for k, c in enumerate(cocycles, start=1):
         lines.append(f"# cocycle {k}")
         lines.append(format_cochain(c, index_of).rstrip("\n"))
-    payload = _grading_payload(args)
-    payload["basis"] = {i: _graph_json(c.skeleton) for i, c in zip(ids, dm.domain)}
-    payload["cocycles"] = [
-        {f"g{index_of[cls] + 1}": str(coeff) for cls, coeff in c} for c in cocycles
-    ]
-    _emit(args, lines, payload)
+    _emit(args, lines, lambda: _grading_payload(
+        args, basis={i: _graph_json(c.skeleton) for i, c in zip(ids, dm.domain)}, cocycles=[
+            {f"g{index_of[cls] + 1}": str(coeff) for cls, coeff in c} for c in cocycles
+        ]))
     return 0
 
 
@@ -209,13 +207,12 @@ def cmd_mult(args: argparse.Namespace) -> int:
     else:
         counts = tensor_decompose(spins)
     line = " ".join(f"{j}:{m}" for j, m in counts.items())
-    payload = {
+    _emit(args, [line], lambda: {
         "command": "mult",
         "spins": [str(j) for j in spins],
         "power": args.power,
         "multiplicities": {str(j): m for j, m in counts.items()},
-    }
-    _emit(args, [line], payload)
+    })
     return 0
 
 
@@ -223,8 +220,8 @@ def cmd_pairing(args: argparse.Namespace) -> int:
     if len(args.tensor) != 2:
         raise GraphCohError("pairing needs exactly two --tensor arguments")
     value = pairing(load_tensor(args.tensor[0]), load_tensor(args.tensor[1]))
-    payload = {"command": "pairing", "tensors": args.tensor, "value": _scalar_json(value)}
-    _emit(args, [scalar_str(value)], payload)
+    _emit(args, [scalar_str(value)], lambda: {
+        "command": "pairing", "tensors": args.tensor, "value": _scalar_json(value)})
     return 0
 
 
@@ -272,12 +269,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         value = evaluate(_decorations_for(g, tensors))
         values[f"g{k}"] = value
         lines.append(f"g{k}\t{scalar_str(value)}")
-    payload = {
+    _emit(args, lines, lambda: {
         "command": "eval",
         "mode": args.mode.value,
         "values": {k: _scalar_json(v) for k, v in values.items()},
-    }
-    _emit(args, lines, payload)
+    })
     return 0
 
 
@@ -468,15 +464,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     mode = args.mode.value if args.mode else "all"
     report = ["# graphcoh check", f"# suite {args.suite}", f"# mode {mode}", *lines, *witness]
     report.append("PASS" if ok else "FAIL")
-    payload = {
+    _emit(args, report, lambda: {
         "command": "check",
         "suite": args.suite,
         "mode": mode,
         "ok": ok,
         "results": lines,
         "witness": witness,
-    }
-    _emit(args, report, payload)
+    })
     return 0 if ok else 1
 
 

@@ -17,7 +17,8 @@ rows of canonical at once through tables read off _contract
 (_contraction_tables) and canonicalize the images in one canonical_rows
 call.  delta_matrix finds each image among the codomain rows by byte key
 and keeps its columns in a per-class memo of at most 2**17 classes, which
-delta reads and fills in with one more such call.
+delta reads and fills in with one more such call; delta of a cochain then
+sums integer numerators over the lcm of its denominators.
 
 Ranks and kernels are computed over exact rationals by one sparse
 Gauss-Jordan pass over the matrix's own (row, col) entries: columns are
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -93,9 +95,12 @@ class Cochain:
     def __init__(self, terms: Mapping[GraphClass, Fraction] | Iterable[tuple[GraphClass, Fraction]] = ()):
         acc: dict[GraphClass, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
+        mode = v = e = None  # the first term's; (V, E) fixes the grading
+        mixed = False  # a term that later cancels may set it; the check below is exact
         for cls, coeff in items:
-            coeff = Fraction(coeff)
-            if coeff == 0:
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            if not coeff:
                 continue
             if not isinstance(cls, GraphClass):
                 raise TypeError(f"cochain keys must be graph classes, got {type(cls)!r}")
@@ -104,14 +109,19 @@ class Cochain:
                     "cochain keys must be canonical basis classes (sign_state +1); "
                     "fold relation signs into the coefficients first"
                 )
-            acc[cls] = acc.get(cls, Fraction(0)) + coeff
-        self._terms = {k: v for k, v in acc.items() if v != 0}
-        gradings = {k.grading for k in self._terms}
-        modes = {k.mode for k in self._terms}
-        if len(gradings) > 1:
-            raise ValueError(f"cochain mixes gradings {sorted(gradings)}")
-        if len(modes) > 1:
-            raise ValueError("cochain mixes symmetry modes")
+            prev = acc.get(cls)
+            acc[cls] = coeff if prev is None else prev + coeff
+            g = cls.skeleton
+            if mode is None:
+                mode, v, e = cls.mode, g.vertex_count, len(g.edges)
+            mixed = mixed or cls.mode is not mode or g.vertex_count != v or len(g.edges) != e
+        self._terms = {k: x for k, x in acc.items() if x}
+        if mixed:
+            gradings = {k.grading for k in self._terms}
+            if len(gradings) > 1:
+                raise ValueError(f"cochain mixes gradings {sorted(gradings)}")
+            if len({k.mode for k in self._terms}) > 1:
+                raise ValueError("cochain mixes symmetry modes")
 
     @classmethod
     def from_class(cls, graph_class: GraphClass, coeff: Fraction | int = 1) -> "Cochain":
@@ -255,11 +265,13 @@ def delta(c: Cochain | GraphClass) -> Cochain:
             sums[s][target] = sums[s].get(target, 0) + k
         columns.update((cls, {t: k for t, k in col.items() if k}) for cls, col in zip(missing, sums))
         _remember((cls, columns[cls]) for cls in missing)
-    acc: dict[GraphClass, Fraction] = {}
-    for cls, coeff in c._terms.items():
-        for target, v in columns[cls].items():
-            acc[target] = acc.get(target, Fraction(0)) + coeff * v
-    out = Cochain(acc)
+    den = math.lcm(*(q.denominator for q in c._terms.values()))  # sum numerators over it
+    acc: dict[GraphClass, int] = {}
+    for cls, q in c._terms.items():
+        f = q.numerator * (den // q.denominator)
+        for target, k in columns[cls].items():
+            acc[target] = acc.get(target, 0) + f * k
+    out = Cochain({target: Fraction(x, den) for target, x in acc.items() if x})
     if not c.is_zero and not out.is_zero:
         n, t = c.grading
         assert out.grading == (n, t + 1), "delta must shift the degree by one"
@@ -476,6 +488,6 @@ def parse_cochain(text: str, basis: Sequence[GraphClass]) -> Cochain:
         parts = line.split("\t")
         if len(parts) != 2 or not parts[1].startswith("g"):
             raise FormatError(ln, f"expected 'coeff<TAB>g<k>', got {line!r}")
-        cls = basis[_index(ln, parts[1][1:], len(basis))]
-        terms[cls] = terms.get(cls, Fraction(0)) + _coefficient(ln, parts[0])
+        cls, q = basis[_index(ln, parts[1][1:], len(basis))], _coefficient(ln, parts[0])
+        terms[cls] = terms[cls] + q if cls in terms else q
     return Cochain(terms)

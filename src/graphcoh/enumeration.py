@@ -67,11 +67,12 @@ def _compositions(total: int, parts: int) -> np.ndarray:
         dtype = np.min_scalar_type(total)
         if parts == 1:
             return np.array([[total]], dtype=dtype)
-        out = []
-        for first in range(total + 1):
+        out, at = np.empty((math.comb(total + parts - 1, parts - 1), parts), dtype), 0
+        for first in range(total + 1):  # each sub-block copied once, straight into place
             rest = blocks(total - first, parts - 1)
-            out.append(np.hstack([np.full((rest.shape[0], 1), first, dtype), rest]))
-        return np.vstack(out)
+            out[at : at + len(rest), 0], out[at : at + len(rest), 1:] = first, rest
+            at += len(rest)
+        return out
 
     try:
         return blocks(total, parts)

@@ -49,7 +49,11 @@ class SymmetryMode(enum.Enum):
 
 @dataclass(frozen=True)
 class GraphSkeleton:
-    """Immutable loop-free multigraph with numbered, oriented edges."""
+    """Immutable loop-free multigraph with numbered, oriented edges.
+
+    The hash is computed once, from ints only, so it is the same in every
+    process; equality compares the fields.
+    """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
@@ -72,6 +76,10 @@ class GraphSkeleton:
             for u in range(1, v + 1):
                 if not touched[u]:
                     raise IsolatedVertex(u)
+        object.__setattr__(self, "_hash", hash((v, self.edges)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def edge_count(self) -> int:

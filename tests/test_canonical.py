@@ -1,12 +1,19 @@
 """Signed canonical forms: worked examples, oracle agreement, group laws."""
 
+import dataclasses
 import itertools
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import graphcoh
 import oracles
 from graphcoh.canonical import (
     GraphClass,
@@ -18,11 +25,16 @@ from graphcoh.canonical import (
     self_symmetries,
     transport_to_canonical,
 )
+from graphcoh.coboundary import Cochain, format_cochain, parse_cochain
+from graphcoh.enumeration import enumerate_grading
 from graphcoh.graphs import (
     EMPTY_GRAPH,
+    GraphSkeleton,
     SymmetryMode,
+    format_graphs,
     k4_graph,
     new_graph,
+    parse_graphs,
     permutation_parity,
     relabel_vertices,
     renumber_edges,
@@ -257,6 +269,68 @@ def test_classes_hash_consistently():
     assert a.basis_class() == b
     assert hash(a.basis_class()) == hash(b)
     assert len({a.basis_class(), b}) == 1
+
+
+@pytest.mark.parametrize(
+    "mode, order, degree", [(SymmetryMode.LITERAL, 2, 0), (SymmetryMode.EDGE_RENUMBERING, 2, -1)]
+)
+def test_equal_keys_hash_equal_by_every_route(mode, order, degree):
+    """Skeletons, classes and cochains that are equal hash equal, however
+    they were built: enumerated, read back from text, relabeled and
+    canonicalized, or copied by dataclasses.replace."""
+    classes = enumerate_grading(order, degree, mode=mode)
+    parsed = parse_graphs(format_graphs([c.skeleton for c in classes]))
+    reverse = list(range(classes[0].skeleton.vertex_count, 0, -1))
+    for cls, g in zip(classes, parsed):
+        as_lists = GraphSkeleton(g.vertex_count, [list(e) for e in g.edges])
+        for skeleton in (g, as_lists):
+            assert skeleton == cls.skeleton and hash(skeleton) == hash(cls.skeleton)
+        relabeled = canonicalize(relabel_vertices(g, reverse), mode)
+        for other in (
+            relabeled.basis_class(),
+            dataclasses.replace(relabeled, sign_state=1),
+            GraphClass(g, 1, mode),
+            pickle.loads(pickle.dumps(cls)),
+        ):
+            assert other == cls and hash(other) == hash(cls)
+    basis = [canonicalize(g, mode) for g in parsed]  # the route the benchmark reads reports by
+    index_of = {cls: k for k, cls in enumerate(classes)}
+    c = Cochain({cls: k - 7 for k, cls in enumerate(classes[:15])})
+    again = parse_cochain(format_cochain(c, index_of), basis)
+    assert again == c and hash(again) == hash(c)
+
+
+_PICKLE_PROBE = """
+import pickle, sys
+from graphcoh.canonical import GraphClass
+from graphcoh.graphs import SymmetryMode, k4_graph
+
+cls = GraphClass(k4_graph(), 1, SymmetryMode.EDGE_RENUMBERING)
+if sys.argv[1] == "dump":
+    print(hash(cls), pickle.dumps({cls: "found"}).hex())
+else:
+    print(hash(cls), pickle.loads(bytes.fromhex(sys.stdin.read())).get(cls))
+"""
+
+
+def test_class_hash_is_the_same_in_every_process():
+    """A class pickled in one process is found in a dict by an equal class
+    built in another, whose string hashes are seeded differently."""
+
+    def probe(seed, action, stdin=""):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        source_root = str(Path(graphcoh.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (source_root, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", _PICKLE_PROBE, action], input=stdin,
+                              capture_output=True, text=True, env=env, timeout=60, check=False)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    here = hash(GraphClass(k4_graph(), 1, SymmetryMode.EDGE_RENUMBERING))
+    dumped_hash, payload = probe("1", "dump")
+    loaded_hash, found = probe("2", "load", payload)
+    assert int(dumped_hash) == int(loaded_hash) == here
+    assert found == "found"
 
 
 def test_modes_kept_apart():

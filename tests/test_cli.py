@@ -1,5 +1,6 @@
 """Command-line interface: worked examples, file outputs, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -111,6 +112,37 @@ def test_enumerate_json_mirror(capsys, tmp_path):
     assert payload["classes"] == {
         "g1": {"vertices": 2, "edges": [[1, 2], [1, 2], [1, 2]]}
     }
+
+
+# sha256 of --json mirrors, recorded before the payloads were built only on request
+JSON_MIRRORS = {
+    ("cocycles", "1", "0", "literal"): "84db6bd796c6fd1b79c41f32c2399456ea5251b8e1e6939c3fa6fd2342232889",
+    ("cocycles", "1", "0", "edge-renumbering"): "f1eb8461f7f904d321dda55dde425ae6bc609c62835c4f03441525c82c5bbaed",
+    ("delta", "1", "-1", "literal"): "e654bf70cfce9c4c156c7f4c805a599c669a90c6d5185db57622d37b3a1aac49",
+    ("delta", "1", "-1", "edge-renumbering"): "60a3614db83ef7e64b7980a23996dd8247bcc50fef99f2b4c94589742c6f692e",
+    ("enumerate", "1", "-1", "literal"): "18513b757a9b21a1ad4d8f07dec53de5bc56107e38a4e2c93778ab458cefa3d0",
+    ("enumerate", "1", "-1", "edge-renumbering"): "3a3d2f79f18b84bc57a0a716af7796583b9448277d12edc70e51521947d7def4",
+}
+
+
+@pytest.mark.parametrize("command, order, degree, mode", sorted(JSON_MIRRORS))
+def test_json_mirrors_are_frozen(capsys, tmp_path, command, order, degree, mode):
+    out_json = tmp_path / "report.json"
+    rc, _, _ = run_cli(capsys, command, "--order", order, "--degree", degree,
+                       "--mode", mode, "--json", str(out_json))
+    assert rc == 0
+    digest = hashlib.sha256(out_json.read_bytes()).hexdigest()
+    assert digest == JSON_MIRRORS[(command, order, degree, mode)]
+
+
+def test_grading_reports_build_no_json_payload_unasked(capsys, monkeypatch):
+    def unasked(*args, **kwargs):
+        raise AssertionError("a --json payload was built without --json")
+
+    monkeypatch.setattr(cli, "_grading_payload", unasked)
+    monkeypatch.setattr(cli, "_graph_json", unasked)
+    for command in ("enumerate", "delta", "cocycles"):
+        assert run_cli(capsys, command, "--order", "1", "--degree", "-1")[0] == 0
 
 
 def test_out_file_silences_stdout(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Coboundary by contraction: signs, cochains, matrices, exact kernels."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -165,6 +166,20 @@ def test_cochain_rejects_mixed_modes():
     b = canonicalize(theta_graph(), SymmetryMode.EDGE_RENUMBERING)
     with pytest.raises(ValueError):
         Cochain({a: Fraction(1), b: Fraction(1)})
+
+
+def test_cochain_checks_the_terms_that_survive():
+    """Terms of another grading or mode that cancel leave no mix behind;
+    a mix that survives is named by its sorted gradings."""
+    theta, k4 = canonicalize(theta_graph()), canonicalize(k4_graph())
+    other = canonicalize(theta_graph(), SymmetryMode.EDGE_RENUMBERING)
+    for cancelled in (k4, other):
+        c = Cochain([(cancelled, 1), (theta, Fraction(1, 2)), (cancelled, -1)])
+        assert c == Cochain({theta: Fraction(1, 2)})
+    with pytest.raises(ValueError, match=r"cochain mixes gradings \[\(1, 0\), \(2, 0\)\]"):
+        Cochain([(k4, 1), (theta, 1), (k4, 2)])
+    with pytest.raises(ValueError, match="cochain mixes symmetry modes"):
+        Cochain([(other, 1), (theta, 1)])
 
 
 def test_cochain_arithmetic():
@@ -424,6 +439,39 @@ def test_delta_reads_the_same_from_a_cold_and_a_warm_memo(monkeypatch, mode, ord
         assert delta(c) == cold
         columns = [(dm.codomain[r], c.coefficient(dm.domain[j]) * v) for (r, j), v in dm.entries.items()]
         assert cold == Cochain(columns)
+
+
+@functools.cache
+def matrix_and_kernel(mode, order, degree):
+    dm = delta_matrix(order, degree, mode=mode)
+    return dm, dm.kernel()
+
+
+rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 36))
+
+
+@pytest.mark.parametrize(
+    "mode, order, degree", [(SymmetryMode.LITERAL, 2, 0), (SymmetryMode.EDGE_RENUMBERING, 2, -1)]
+)
+@given(data=st.data())
+def test_delta_of_rational_cochains_matches_the_matrix(mode, order, degree, data):
+    """delta of a cochain with mixed denominators, plus a multiple of a
+    cocycle whose image must cancel, is the Fraction-weighted sum of the
+    matrix columns; the cocycle part alone maps to zero."""
+    dm, kernel = matrix_and_kernel(mode, order, degree)
+    picks = data.draw(st.lists(st.integers(0, len(dm.domain) - 1), max_size=8, unique=True))
+    terms = {j: data.draw(rationals) for j in picks}
+    closed, t = kernel[data.draw(st.integers(0, len(kernel) - 1))], data.draw(rationals)
+    for j, x in closed.items():
+        terms[j] = terms.get(j, Fraction(0)) + t * x
+    expected: dict = {}
+    for (r, j), v in dm.entries.items():
+        if j in terms:
+            expected[dm.codomain[r]] = expected.get(dm.codomain[r], Fraction(0)) + terms[j] * v
+    image = delta(Cochain({dm.domain[j]: q for j, q in terms.items()}))
+    assert image.terms == {cls: q for cls, q in expected.items() if q}
+    assert all(type(q) is Fraction for q in image.terms.values())
+    assert delta(Cochain({dm.domain[j]: t * x for j, x in closed.items()})).is_zero
 
 
 def test_delta_matrix_names_an_image_missing_from_the_codomain(monkeypatch):

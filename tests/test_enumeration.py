@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 import oracles
@@ -12,6 +13,7 @@ from graphcoh.canonical import _act, _perm_tables, _skeleton_from_row, canonical
 from graphcoh.enumeration import (
     DEFAULT_CAP,
     _bulk_survivors,
+    _compositions,
     _labeled_universe,
     _universe_size,
     _valence_filter,
@@ -144,6 +146,25 @@ def test_class_lists_are_frozen():
                         calls.append((mode.value, v, e, connected, trivalent, edges))
     assert len(calls) == 82
     assert hashlib.sha256(repr(calls).encode()).hexdigest() == FROZEN_CLASS_LISTS
+
+
+@pytest.mark.parametrize(
+    "total, parts, dtype",
+    [(0, 1, np.uint8), (0, 4, np.uint8), (3, 1, np.uint8), (4, 3, np.uint8), (5, 6, np.uint8),
+     (255, 2, np.uint8), (256, 2, np.uint16), (300, 3, np.uint16)],
+)
+def test_compositions_match_stars_and_bars(total, parts, dtype):
+    """Every composition in the order of its bar positions, in the least
+    unsigned dtype holding the total; blocks of smaller totals, held in a
+    narrower dtype, land in the wide one unchanged."""
+    slots = total + parts - 1
+    expected = [
+        [b - a - 1 for a, b in zip((-1, *bars), (*bars, slots))]
+        for bars in itertools.combinations(range(slots), parts - 1)
+    ]
+    got = _compositions(total, parts)
+    assert got.dtype == dtype
+    assert got.tolist() == expected
 
 
 @pytest.mark.parametrize(
