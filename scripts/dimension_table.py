@@ -14,9 +14,10 @@ Example:
 from __future__ import annotations
 
 import argparse
+import sys
 
 from graphcoh.coboundary import delta_matrix
-from graphcoh.errors import BasisTooLarge
+from graphcoh.errors import BasisTooLarge, GraphCohError
 from graphcoh.graphs import SymmetryMode, counts_for_grading
 
 
@@ -56,7 +57,12 @@ def main(argv=None) -> int:
     parser.add_argument("--max-vertices", type=int, default=4)
     parser.add_argument("--connected", action="store_true")
     parser.add_argument("--cap", type=int, default=None)
-    print_table(parser.parse_args(argv))
+    args = parser.parse_args(argv)
+    try:
+        print_table(args)
+    except (GraphCohError, OSError, ValueError) as exc:
+        print(f"dimension_table: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -15,10 +15,12 @@ that builds a contracted edge list or renumbers vertices.  contract_edge
 and the decorated delta call it; delta and delta_matrix contract all pair
 rows of canonical at once through tables read off _contract
 (_contraction_tables) and canonicalize the images in one canonical_rows
-call.  delta_matrix finds each image among the codomain rows by byte key
-and keeps its columns in a per-class memo of at most 2**17 classes, which
-delta reads and fills in with one more such call; delta of a cochain then
-sums integer numerators over the lcm of its denominators.
+call.  Both read delta of a class through _columns, the one path from
+images to columns {image class: integer coefficient}: it keeps a per-class
+memo of at most 2**17 classes, contracts only the classes the memo lacks
+and names each distinct image class once.  delta of a cochain sums integer
+numerators over the lcm of its denominators; delta_matrix looks each
+distinct image class up among the codomain classes once.
 
 Ranks and kernels are computed over exact rationals by one sparse
 Gauss-Jordan pass over the matrix's own (row, col) entries: columns are
@@ -40,7 +42,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .canonical import GraphClass, _keys, _perm_tables, _rows_of, _skeleton_from_row, canonical_rows
+from .canonical import GraphClass, _perm_tables, _rows_of, _skeleton_from_row, canonical_rows
 from .enumeration import enumerate_grading
 from .errors import DegenerateContraction, FormatError, NotRegular, _data_lines
 from .graphs import GraphSkeleton, SymmetryMode
@@ -157,10 +159,7 @@ class Cochain:
         return sorted(self._terms, key=GraphClass.sort_key)
 
     def __add__(self, other: "Cochain") -> "Cochain":
-        acc = dict(self._terms)
-        for k, v in other._terms.items():
-            acc[k] = acc.get(k, Fraction(0)) + v
-        return Cochain(acc)
+        return Cochain(itertools.chain(self._terms.items(), other._terms.items()))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + (-1) * other
@@ -240,21 +239,15 @@ _COLUMN_BOUND = 1 << 17  # classes whose delta _COLUMNS keeps
 _COLUMNS: dict[GraphClass, dict[GraphClass, int]] = {}
 
 
-def _remember(columns: Iterable[tuple[GraphClass, dict[GraphClass, int]]]) -> None:
-    """Store delta columns by class, dropping the oldest past the bound."""
-    _COLUMNS.update(columns)
-    for stale in list(itertools.islice(_COLUMNS, max(0, len(_COLUMNS) - _COLUMN_BOUND))):
-        del _COLUMNS[stale]
-
-
-def delta(c: Cochain | GraphClass) -> Cochain:
-    """Coboundary of a cochain (or of a single class, sign folded in)."""
-    if isinstance(c, GraphClass):
-        c = Cochain.from_class(c)
-    columns = {cls: _COLUMNS.get(cls) for cls in c._terms}
-    missing = [cls for cls, col in columns.items() if col is None]
-    if missing:  # contract them all at once, naming each distinct image class once
-        mode, v = c.mode, missing[0].skeleton.vertex_count - 1
+def _columns(classes: Sequence[GraphClass]) -> list[dict[GraphClass, int]]:
+    """delta of each basis class of one grading and mode as {image class:
+    coefficient}, read from the memo; the classes it lacks are contracted in
+    one _images call that names each distinct image class once, and stored,
+    dropping the oldest past the bound."""
+    columns = [_COLUMNS.get(cls) for cls in classes]
+    missing = [cls for cls, col in zip(classes, columns) if col is None]
+    if missing:
+        mode, v = missing[0].mode, missing[0].skeleton.vertex_count - 1
         found: dict[bytes, GraphClass] = {}
         sums: list[dict[GraphClass, int]] = [{} for _ in missing]
         src, image, coeff = _images(missing)
@@ -263,13 +256,23 @@ def delta(c: Cochain | GraphClass) -> Cochain:
             target = found[key] = found.get(key) or GraphClass(
                 _skeleton_from_row(v, row, mode, _perm_tables(v).pairs), 1, mode)
             sums[s][target] = sums[s].get(target, 0) + k
-        columns.update((cls, {t: k for t, k in col.items() if k}) for cls, col in zip(missing, sums))
-        _remember((cls, columns[cls]) for cls in missing)
+        fresh = {cls: {t: k for t, k in col.items() if k} for cls, col in zip(missing, sums)}
+        _COLUMNS.update(fresh)
+        for stale in list(itertools.islice(_COLUMNS, max(0, len(_COLUMNS) - _COLUMN_BOUND))):
+            del _COLUMNS[stale]
+        columns = [fresh[cls] if col is None else col for cls, col in zip(classes, columns)]
+    return columns
+
+
+def delta(c: Cochain | GraphClass) -> Cochain:
+    """Coboundary of a cochain (or of a single class, sign folded in)."""
+    if isinstance(c, GraphClass):
+        c = Cochain.from_class(c)
     den = math.lcm(*(q.denominator for q in c._terms.values()))  # sum numerators over it
     acc: dict[GraphClass, int] = {}
-    for cls, q in c._terms.items():
+    for q, column in zip(c._terms.values(), _columns(list(c._terms))):
         f = q.numerator * (den // q.denominator)
-        for target, k in columns[cls].items():
+        for target, k in column.items():
             acc[target] = acc.get(target, 0) + f * k
     out = Cochain({target: Fraction(x, den) for target, x in acc.items() if x})
     if not c.is_zero and not out.is_zero:
@@ -322,23 +325,17 @@ def delta_matrix(
     """Matrix of delta from grading (order, degree) to (order, degree + 1)."""
     domain = tuple(enumerate_grading(order, degree, connected=connected, mode=mode, cap=cap))
     codomain = tuple(enumerate_grading(order, degree + 1, connected=connected, mode=mode, cap=cap))
+    row_of = {cls: r for r, cls in enumerate(codomain)}
+    rows: dict[GraphClass, int] = {}  # each distinct image, matched in row_of once
     entries: dict[tuple[int, int], Fraction] = {}
-    if domain:
-        v, below = domain[0].skeleton.vertex_count, _perm_tables(domain[0].skeleton.vertex_count - 1)
-        col, image, coeff = _images(domain)
-        keys, found = _keys(_rows_of([c.skeleton for c in codomain], mode, below)[0]), _keys(image)
-        by_key = np.argsort(keys)
-        pos, hit = np.searchsorted(keys[by_key], found), np.isin(found, keys)
-        if not hit.all():
-            missing = _skeleton_from_row(v - 1, image[hit.argmin()], mode, below.pairs)
-            raise AssertionError(f"delta image {missing.edges} missing from codomain basis")
-        cells, inverse = np.unique(col * len(codomain) + by_key[pos], return_inverse=True)
-        columns: list[dict[GraphClass, int]] = [{} for _ in domain]
-        for cell, k in zip(cells.tolist(), np.bincount(inverse, coeff).astype(np.int64).tolist()):
-            if k:
-                c, r = divmod(cell, len(codomain))
-                columns[c][codomain[r]], entries[(r, c)] = k, Fraction(k)
-        _remember(zip(domain, columns))
+    for c, column in enumerate(_columns(domain)):
+        for target, k in column.items():
+            r = rows.get(target)
+            if r is None:
+                if target not in row_of:
+                    raise AssertionError(f"delta image {target.skeleton.edges} missing from codomain basis")
+                r = rows[target] = row_of[target]
+            entries[(r, c)] = Fraction(k)
     return DeltaMatrix(order, degree, mode, connected, domain, codomain, entries)
 
 
@@ -483,11 +480,10 @@ def format_cochain(c: Cochain, index_of: Mapping[GraphClass, int]) -> str:
 
 
 def parse_cochain(text: str, basis: Sequence[GraphClass]) -> Cochain:
-    terms: dict[GraphClass, Fraction] = {}
+    terms: list[tuple[GraphClass, Fraction]] = []
     for ln, line in _data_lines(text):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[1].startswith("g"):
             raise FormatError(ln, f"expected 'coeff<TAB>g<k>', got {line!r}")
-        cls, q = basis[_index(ln, parts[1][1:], len(basis))], _coefficient(ln, parts[0])
-        terms[cls] = terms[cls] + q if cls in terms else q
+        terms.append((basis[_index(ln, parts[1][1:], len(basis))], _coefficient(ln, parts[0])))
     return Cochain(terms)

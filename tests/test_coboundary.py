@@ -1,8 +1,11 @@
 """Coboundary by contraction: signs, cochains, matrices, exact kernels."""
 
 import functools
+import hashlib
 import random
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from graphcoh import canonical, coboundary, enumeration
-from graphcoh.canonical import canonicalize
+from graphcoh.canonical import GraphClass, canonicalize
 from graphcoh.coboundary import (
     Cochain,
     cocycle_basis,
@@ -422,6 +425,28 @@ def test_delta_matrix_matches_oracle_on_whole_cells(mode, vertex_counts, connect
         assert dm.entries == expected, (order, degree)
 
 
+# sha256 of the repr of test_delta_matrices_are_frozen's matrix list,
+# recorded while delta_matrix still found its images by byte key.
+FROZEN_DELTA_MATRICES = "431a16fc21627554eafd40ca365f2476bf754564efc6f0d2a327048d32e51839"
+
+
+def test_delta_matrices_are_frozen():
+    """Domain, codomain and sorted entries of delta on the 34 cells of the
+    dimension-table sweeps (literal V <= 4, edge-renumbering V <= 6),
+    connected or not."""
+    cells = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "dimension_table.py"))["cells"]
+    sweep = [(mode, cell) for mode, vmax in zip(MODES, (4, 6)) for cell in sorted(cells(vmax))]
+    matrices = []
+    for connected in (False, True):
+        for mode, (order, degree) in sweep:
+            dm = delta_matrix(order, degree, connected=connected, mode=mode)
+            entries = sorted((r, c, v.numerator, v.denominator) for (r, c), v in dm.entries.items())
+            matrices.append((mode.value, order, degree, connected, [cls.skeleton.edges for cls in dm.domain],
+                             [cls.skeleton.edges for cls in dm.codomain], entries))
+    assert len(matrices) == 68
+    assert hashlib.sha256(repr(matrices).encode()).hexdigest() == FROZEN_DELTA_MATRICES
+
+
 @pytest.mark.parametrize(
     "mode, order, degree", [(SymmetryMode.LITERAL, 2, 0), (SymmetryMode.EDGE_RENUMBERING, 3, 0)]
 )
@@ -503,6 +528,48 @@ def test_delta_reuses_the_columns_of_delta_matrix(monkeypatch):
     monkeypatch.setattr(coboundary, "_images", no_contraction)
     image = delta(Cochain({cls: 1 for cls in dm.domain}))
     assert image == Cochain([(dm.codomain[r], v) for (r, _), v in dm.entries.items()])
+
+
+def test_a_second_delta_matrix_reads_the_memo(monkeypatch):
+    monkeypatch.setattr(coboundary, "_COLUMNS", {})
+    first = delta_matrix(3, 0, mode=SymmetryMode.EDGE_RENUMBERING)
+
+    def no_contraction(classes):
+        raise AssertionError("delta_matrix contracted classes the memo holds")
+
+    monkeypatch.setattr(coboundary, "_images", no_contraction)
+    second = delta_matrix(3, 0, mode=SymmetryMode.EDGE_RENUMBERING)
+    assert second.entries == first.entries
+
+
+def test_delta_contracts_only_the_classes_the_memo_lacks(monkeypatch):
+    monkeypatch.setattr(coboundary, "_COLUMNS", {})
+    domain = enumeration.enumerate_grading(2, 0)
+    delta(Cochain({cls: 1 for cls in domain[::2]}))
+    calls, images = [], coboundary._images
+
+    def spy(classes):
+        calls.append(list(classes))
+        return images(classes)
+
+    monkeypatch.setattr(coboundary, "_images", spy)
+    c = Cochain({cls: j + 1 for j, cls in enumerate(domain)})
+    image = delta(c)
+    assert len(calls) == 1
+    assert sorted(calls[0], key=GraphClass.sort_key) == sorted(domain[1::2], key=GraphClass.sort_key)
+    monkeypatch.setattr(coboundary, "_COLUMNS", {})
+    assert delta(c) == image
+
+
+def test_a_bounded_memo_still_gives_every_entry(monkeypatch):
+    monkeypatch.setattr(coboundary, "_COLUMNS", {})
+    expected = delta_matrix(2, 0, mode=SymmetryMode.EDGE_RENUMBERING).entries
+    monkeypatch.setattr(coboundary, "_COLUMNS", {})
+    monkeypatch.setattr(coboundary, "_COLUMN_BOUND", 5)
+    for _ in range(2):  # cold, then with the 5 newest columns read back
+        assert delta_matrix(2, 0, mode=SymmetryMode.EDGE_RENUMBERING).entries == expected
+        assert len(coboundary._COLUMNS) == 5
+    assert len(expected) > 5
 
 
 def test_delta_of_a_class_from_a_refused_cell_never_enumerates(monkeypatch):

@@ -1,10 +1,13 @@
 """The scripts under scripts/, run in a fresh interpreter on the checkout."""
 
+import hashlib
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import graphcoh
 from graphcoh.tensors import Rad, eps_tensor, format_tensor, make_tensor, radical
@@ -60,3 +63,36 @@ def test_evaluate_trivalent_prints_radical_values_as_the_cli_does(tmp_path):
     assert proc.returncode == 0, proc.stderr
     # (3/2 sqrt 2)^2 * 6 = 27, printed by cli.scalar_str as in `graphcoh eval`
     assert proc.stdout.splitlines()[1] == "g1    value       27  closed True   edges 1-2 1-2 1-2"
+
+
+# sha256 of dimension_table.py's stdout, recorded while delta_matrix still
+# found its images by byte key.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--max-vertices", "4"], "3366a2d051a9e1498e305582aead867c0281253b85590aa9925fe2f075d2d1cd"),
+        (["--mode", "edge-renumbering", "--max-vertices", "5"],
+         "e72784bbcd061e4636fe67abbfe76f9d27ada22cb027b3cacfee8b1c81cb44b6"),
+    ],
+    ids=["literal", "edge-renumbering"],
+)
+def test_dimension_table_is_frozen(argv, digest):
+    proc = run_script("dimension_table.py", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+def test_dimension_table_skips_a_cell_past_the_cap():
+    proc = run_script("dimension_table.py", "--mode", "edge-renumbering", "--max-vertices", "5", "--cap", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[3] == (
+        "   -2     -9   5   3  skipped: basis enumeration exceeds the cap (3): "
+        "labeled universe at V=5, E=3 has 220 candidates"
+    )
+
+
+@pytest.mark.parametrize("cap", ["0", "-2"])
+def test_dimension_table_rejects_a_cap_that_is_not_positive(cap):
+    proc = run_script("dimension_table.py", "--cap", cap)
+    assert proc.returncode == 1
+    assert proc.stderr == f"dimension_table: cap must be positive, got {cap}\n"
