@@ -17,6 +17,7 @@ import argparse
 import sys
 
 from graphcoh.coboundary import delta_matrix
+from graphcoh.enumeration import resolve_cap
 from graphcoh.errors import BasisTooLarge, GraphCohError
 from graphcoh.graphs import SymmetryMode, counts_for_grading
 
@@ -33,6 +34,7 @@ def cells(max_vertices: int):
 
 def print_table(args: argparse.Namespace) -> None:
     mode = SymmetryMode.parse(args.mode)
+    resolve_cap(args.cap)  # refuse a bad cap before any output
     print(f"# mode {mode.value} connected {str(args.connected).lower()}")
     header = f"{'order':>5} {'degree':>6} {'V':>3} {'E':>3} {'dim':>5} {'rank':>5} {'kernel':>6}"
     print(header)

@@ -20,13 +20,7 @@ from pathlib import Path
 from typing import Callable
 
 from .canonical import canonicalize
-from .coboundary import (
-    cocycles_of,
-    delta,
-    delta_matrix,
-    format_cochain,
-    format_matrix,
-)
+from .coboundary import _cochain_lines, delta, delta_matrix, format_matrix
 from .decorated import (
     DecoratedGraph,
     decorate,
@@ -182,18 +176,17 @@ def cmd_cocycles(args: argparse.Namespace) -> int:
     dm = delta_matrix(
         args.order, args.degree, connected=args.connected, mode=args.mode, cap=args.cap
     )
-    cocycles = cocycles_of(dm)
-    index_of = {cls: k for k, cls in enumerate(dm.domain)}
+    cocycles = [sorted(vec.items()) for vec in dm.kernel()]  # (domain index, coefficient)
     ids = [f"g{k}" for k in range(1, len(dm.domain) + 1)]
     lines = _grading_header(args, f"basis {len(dm.domain)} cocycles {len(cocycles)}")
     if dm.domain:
         lines.append(format_graphs([c.skeleton for c in dm.domain], ids=ids).rstrip("\n"))
-    for k, c in enumerate(cocycles, start=1):
+    for k, terms in enumerate(cocycles, start=1):
         lines.append(f"# cocycle {k}")
-        lines.append(format_cochain(c, index_of).rstrip("\n"))
+        lines.extend(_cochain_lines(terms))
     _emit(args, lines, lambda: _grading_payload(
         args, basis={i: _graph_json(c.skeleton) for i, c in zip(ids, dm.domain)}, cocycles=[
-            {f"g{index_of[cls] + 1}": str(coeff) for cls, coeff in c} for c in cocycles
+            {ids[j]: str(coeff) for j, coeff in terms} for terms in cocycles
         ]))
     return 0
 

@@ -286,7 +286,7 @@ class DeltaMatrix:
     """Sparse matrix of delta between two enumerated bases.
 
     Column j holds delta(domain[j]) expanded over codomain; entries maps
-    (row, col) with 0-based indices to nonzero rationals.
+    (row, col) with 0-based indices to delta's nonzero integer coefficients.
     """
 
     order: int
@@ -295,7 +295,7 @@ class DeltaMatrix:
     connected: bool
     domain: tuple[GraphClass, ...]
     codomain: tuple[GraphClass, ...]
-    entries: dict[tuple[int, int], Fraction] = field(repr=False)
+    entries: dict[tuple[int, int], int] = field(repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -327,7 +327,7 @@ def delta_matrix(
     codomain = tuple(enumerate_grading(order, degree + 1, connected=connected, mode=mode, cap=cap))
     row_of = {cls: r for r, cls in enumerate(codomain)}
     rows: dict[GraphClass, int] = {}  # each distinct image, matched in row_of once
-    entries: dict[tuple[int, int], Fraction] = {}
+    entries: dict[tuple[int, int], int] = {}
     for c, column in enumerate(_columns(domain)):
         for target, k in column.items():
             r = rows.get(target)
@@ -335,7 +335,7 @@ def delta_matrix(
                 if target not in row_of:
                     raise AssertionError(f"delta image {target.skeleton.edges} missing from codomain basis")
                 r = rows[target] = row_of[target]
-            entries[(r, c)] = Fraction(k)
+            entries[(r, c)] = k
     return DeltaMatrix(order, degree, mode, connected, domain, codomain, entries)
 
 
@@ -345,15 +345,15 @@ def delta_matrix(
 
 
 def rref(
-    ncols: int, entries: Mapping[tuple[int, int], Fraction]
+    ncols: int, entries: Mapping[tuple[int, int], Fraction | int]
 ) -> dict[int, dict[int, Fraction]]:
     """Sparse reduced row echelon form of (row, col) entries: {pivot column: row}.
 
-    Rows are {column: value} dicts.  Columns are eliminated left to right;
-    the pivot of a column is the sparsest unused row holding it, ties
-    broken by row index.  The pivot row is scaled to 1 and the column is
-    cleared from every other row, pivot rows included.  The result is
-    keyed in ascending pivot order.
+    Rows are {column: Fraction} dicts, whatever rationals the entries are.
+    Columns are eliminated left to right; the pivot of a column is the
+    sparsest unused row holding it, ties broken by row index.  The pivot
+    row is scaled to 1 and the column is cleared from every other row,
+    pivot rows included.  The result is keyed in ascending pivot order.
     """
     rows: dict[int, dict[int, Fraction]] = {}
     holders: dict[int, set[int]] = {}
@@ -471,12 +471,14 @@ def parse_matrix(text: str) -> dict[tuple[int, int], Fraction]:
     return entries
 
 
+def _cochain_lines(terms: Iterable[tuple[int, Fraction]]) -> list[str]:
+    """One `coeff<TAB>g<k>` line per (0-based basis index, coefficient); k is 1-based."""
+    return [f"{coeff.numerator}/{coeff.denominator}\tg{j + 1}" for j, coeff in terms]
+
+
 def format_cochain(c: Cochain, index_of: Mapping[GraphClass, int]) -> str:
     """One `coeff<TAB>g<k>` line per term; k is the 1-based basis position."""
-    lines = []
-    for cls, coeff in c:
-        lines.append(f"{coeff.numerator}/{coeff.denominator}\tg{index_of[cls] + 1}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(_cochain_lines((index_of[cls], coeff) for cls, coeff in c)) + "\n"
 
 
 def parse_cochain(text: str, basis: Sequence[GraphClass]) -> Cochain:

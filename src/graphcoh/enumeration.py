@@ -15,7 +15,10 @@ classes are zero.  A row's verdict depends only on its own images, so
 dropping other rows early changes nothing.  Permutations come in order of
 how many points they move, transpositions first, since the cheapest moves
 kill most rows.  Rows that survive every permutation are the canonical
-nonzero ones and are decoded into classes.
+nonzero ones.  The universe is built in ascending row order and only
+masked after, so they decode into sorted classes: in row order in LITERAL
+mode, reversed otherwise (the greatest multiplicity vector is the least
+edge list).
 
 Enumeration refuses to start when the labeled universe would exceed a
 multiple of the configured class cap, or when V > 8 puts the exhaustive
@@ -106,7 +109,7 @@ def _valence_filter(arr: np.ndarray, v: int, mode: SymmetryMode, tables, trivale
 
 
 def _bulk_survivors(arr: np.ndarray, mode: SymmetryMode, tables) -> np.ndarray:
-    """The canonical nonzero rows of the labeled universe.
+    """The canonical nonzero rows of the labeled universe, in arr's order.
 
     A row is dropped at the first permutation that moves it to a more
     canonical row (see canonical.canonical_rows: lexicographically least
@@ -154,15 +157,14 @@ def enumerate_by_counts(
         )
 
     tables = _perm_tables(v)
-    arr = _labeled_universe(v, e, mode, tables)
-    arr = _valence_filter(arr, v, mode, tables, trivalent)
+    arr = _valence_filter(_labeled_universe(v, e, mode, tables), v, mode, tables, trivalent)
+    rows = _bulk_survivors(arr, mode, tables)
     classes = [
         GraphClass(_skeleton_from_row(v, row, mode, tables.pairs), 1, mode)
-        for row in _bulk_survivors(arr, mode, tables)
+        for row in (rows if mode is SymmetryMode.LITERAL else rows[::-1])
     ]
     if connected:
         classes = [c for c in classes if is_connected(c.skeleton)]
-    classes.sort(key=GraphClass.sort_key)
     if len(classes) > cap:
         raise BasisTooLarge(
             f"{len(classes)} classes at V={v}, E={e} exceed the cap", cap

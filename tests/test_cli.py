@@ -16,6 +16,7 @@ from graphcoh.cli import main
 from graphcoh.coboundary import Cochain, delta
 from graphcoh.graphs import SymmetryMode, format_graph, format_graphs, k4_graph, new_graph, theta_graph
 from graphcoh.tensors import eps_tensor, format_tensor
+from test_enumeration import dimension_table_sweep
 
 THETA_TEXT = format_graph(theta_graph())
 
@@ -133,6 +134,32 @@ def test_json_mirrors_are_frozen(capsys, tmp_path, command, order, degree, mode)
     assert rc == 0
     digest = hashlib.sha256(out_json.read_bytes()).hexdigest()
     assert digest == JSON_MIRRORS[(command, order, degree, mode)]
+
+
+# sha256 of the 68 stdout reports and, apart, of the 68 --json mirrors of
+# each command on the dimension-table cells, connected off then on; recorded
+# while matrix entries were Fractions and cocycles were reported through
+# Cochain objects.
+GRADING_REPORTS = {
+    "cocycles": ("298f03306de5f98544c2afef0f4264ce69a97df4be0c5a6c847659db4d81625f",
+                 "e0c98c1fb90c63d0a2fa4f701beb63d021c7ff07f432ba9358e2a9d8a3effc5b"),
+    "delta": ("5aad7171216b4c0ac3afa4cf2a20ebd27ec508145a501324db36d1798397eff5",
+              "12012b8fbd6a8501d3a179377d74eb4ba8eae760579f93e09730f34d209137e0"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GRADING_REPORTS))
+def test_grading_reports_are_frozen(capsys, tmp_path, command):
+    out_json = tmp_path / "report.json"
+    text, mirror = hashlib.sha256(), hashlib.sha256()
+    for connected in ([], ["--connected"]):
+        for mode, order, degree in dimension_table_sweep():
+            rc, out, _ = run_cli(capsys, command, "--order", str(order), "--degree", str(degree),
+                                 "--mode", mode.value, "--json", str(out_json), *connected)
+            assert rc == 0
+            text.update(out.encode())
+            mirror.update(out_json.read_bytes())
+    assert (text.hexdigest(), mirror.hexdigest()) == GRADING_REPORTS[command]
 
 
 def test_grading_reports_build_no_json_payload_unasked(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Coboundary by contraction: signs, cochains, matrices, exact kernels."""
 
+import dataclasses
 import functools
 import hashlib
 import random
@@ -307,6 +308,24 @@ def test_frozen_shapes_and_ranks():
     # literal V=5, E=6; sympy's DomainMatrix rank is also 268
     dm = delta_matrix(1, -3, connected=False)
     assert (dm.shape, dm.rank(), len(dm.kernel())) == ((280, 6505), 268, 6237)
+
+
+def test_matrix_entries_are_the_integers_of_delta():
+    for mode in MODES:
+        dm = delta_matrix(2, -1, mode=mode)
+        assert dm.entries and all(type(v) is int for v in dm.entries.values())
+
+
+@pytest.mark.parametrize(
+    "mode, order, degree, connected",
+    [(SymmetryMode.LITERAL, 1, -2, False), (SymmetryMode.LITERAL, 2, 0, True),
+     (SymmetryMode.EDGE_RENUMBERING, 2, -1, False)],
+)
+def test_fraction_entries_give_the_same_rank_and_kernel(mode, order, degree, connected):
+    dm = delta_matrix(order, degree, connected=connected, mode=mode)
+    rational = dataclasses.replace(dm, entries={k: Fraction(v) for k, v in dm.entries.items()})
+    assert rational.rank() == dm.rank()
+    assert rational.kernel() == dm.kernel()
 
 
 def test_rank_and_kernel_share_one_elimination(monkeypatch):

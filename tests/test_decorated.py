@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from graphcoh.canonical import self_symmetries
 from graphcoh.decorated import (
     DecoratedChain,
     contract_decoration,
@@ -509,6 +510,40 @@ def test_jacobi_combination_of_contractions_vanishes():
 
 def test_empty_chain_is_closed():
     assert is_cocycle_decorated(DecoratedChain([]))
+
+
+# A theta on {1, 2} beside a K4 on {3..6}.  Swapping the theta's ends is a
+# self-symmetry of sign +1, so (G, D) minus (G, D with the theta's two
+# tensors swapped) is the zero chain, whatever the tensors.
+THETA_K4 = new_graph(6, [(1, 2)] * 3 + [(3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)])
+
+
+def theta_swap_chain(decs):
+    swapped = [decs[1], decs[0], *decs[2:]]
+    return DecoratedChain([(Fraction(1), decorate(THETA_K4, decs)), (Fraction(-1), decorate(THETA_K4, swapped))])
+
+
+def seeded_rational_tensors(count, seed):
+    """count seeded random rational tensors of valence 3 and dim 2."""
+    rng = np.random.default_rng(seed)
+    return [
+        make_tensor(np.array([Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) for _ in range(8)],
+                             dtype=object).reshape(2, 2, 2).tolist())
+        for _ in range(count)
+    ]
+
+
+def test_swapping_equal_theta_tensors_is_closed():
+    assert ((2, 1, 3, 4, 5, 6), 1) in self_symmetries(THETA_K4)
+    decs = seeded_rational_tensors(6, 20261019)
+    assert is_cocycle_decorated(theta_swap_chain([decs[0], decs[0], *decs[2:]]))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP direction 1: closure groups terms by canonical skeleton but does not "
+    "project onto the invariants of the skeleton's self-symmetries"))
+def test_swapping_distinct_theta_tensors_is_closed():
+    assert is_cocycle_decorated(theta_swap_chain(seeded_rational_tensors(6, 20261019)))
 
 
 def test_mixed_scalar_kinds_need_a_tolerance():

@@ -3,13 +3,15 @@
 import hashlib
 import itertools
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
 from graphcoh import enumeration
-from graphcoh.canonical import _act, _perm_tables, _skeleton_from_row, canonicalize
+from graphcoh.canonical import GraphClass, _act, _keys, _perm_tables, _skeleton_from_row, canonicalize
 from graphcoh.enumeration import (
     DEFAULT_CAP,
     _bulk_survivors,
@@ -23,7 +25,7 @@ from graphcoh.enumeration import (
     resolve_cap,
 )
 from graphcoh.errors import BasisTooLarge
-from graphcoh.graphs import GraphSkeleton, SymmetryMode, grading, k4_graph, theta_graph
+from graphcoh.graphs import GraphSkeleton, SymmetryMode, counts_for_grading, grading, k4_graph, theta_graph
 
 MODES = (SymmetryMode.LITERAL, SymmetryMode.EDGE_RENUMBERING)
 
@@ -201,6 +203,29 @@ def test_sweep_keeps_exactly_the_canonical_rows(monkeypatch, mode, vertices, edg
     got = {_skeleton_from_row(vertices, row, mode, tables.pairs) for row in survivors}
     assert len(got) == len(survivors)
     assert got == expected
+
+
+def dimension_table_sweep():
+    """(mode, order, degree) of the 34 cells of the dimension-table sweeps:
+    literal V <= 4, edge-renumbering V <= 6."""
+    cells = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "dimension_table.py"))["cells"]
+    return [(mode, *cell) for mode, vmax in zip(MODES, (4, 6)) for cell in sorted(cells(vmax))]
+
+
+def test_sweep_keeps_the_ascending_order_of_the_universe():
+    """Survivors come out in strictly ascending key order, so the classes
+    decode sorted with no sort of their own."""
+    sweep = dimension_table_sweep()
+    assert len(sweep) == 34
+    for mode, order, degree in sweep:
+        v, e = counts_for_grading(order, degree)
+        tables = _perm_tables(v)
+        rows = _bulk_survivors(_valence_filter(_labeled_universe(v, e, mode, tables), v, mode, tables, False),
+                               mode, tables)
+        keys = _keys(rows)
+        assert (keys[:-1] < keys[1:]).all(), (mode, v, e)
+        classes = enumerate_by_counts(v, e, mode=mode)
+        assert classes == sorted(classes, key=GraphClass.sort_key), (mode, v, e)
 
 
 # ---------------------------------------------------------------------------

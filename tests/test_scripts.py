@@ -96,3 +96,10 @@ def test_dimension_table_rejects_a_cap_that_is_not_positive(cap):
     proc = run_script("dimension_table.py", "--cap", cap)
     assert proc.returncode == 1
     assert proc.stderr == f"dimension_table: cap must be positive, got {cap}\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-2"])
+def test_dimension_table_checks_the_cap_before_any_output(cap):
+    proc = run_script("dimension_table.py", "--cap", cap)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
