@@ -5,7 +5,12 @@ oriented tail < head: in LITERAL mode it is the set of length-E sequences
 of vertex pairs, in EDGE_RENUMBERING mode the set of multiplicity vectors
 over the pairs.  A class is kept when its labeled representative is the
 canonical one (no vertex permutation reaches a lexicographically smaller
-flattened edge list) and no self-symmetry carries sign -1.
+flattened edge list) and no self-symmetry carries sign -1.  Some vertex
+permutation moves any edge onto the pair (1, 2), so only the first-pair
+slice of the universe can hold canonical rows, and only it is built: the
+sequences whose first pair is (1, 2) in LITERAL mode (1/p of the universe
+over p pairs), the vectors whose greatest multiplicity is on (1, 2)
+otherwise.
 
 One vectorized sweep serves every cell: the live rows meet one vertex
 permutation at a time, each permuted row compared with its original by
@@ -15,15 +20,15 @@ classes are zero.  A row's verdict depends only on its own images, so
 dropping other rows early changes nothing.  Permutations come in order of
 how many points they move, transpositions first, since the cheapest moves
 kill most rows.  Rows that survive every permutation are the canonical
-nonzero ones.  The universe is built in ascending row order and only
-masked after, so they decode into sorted classes: in row order in LITERAL
+nonzero ones.  The slice is built in ascending row order and only masked
+after, so they decode into sorted classes: in row order in LITERAL
 mode, reversed otherwise (the greatest multiplicity vector is the least
 edge list).
 
-Enumeration refuses to start when the labeled universe would exceed a
-multiple of the configured class cap, or when V > 8 puts the exhaustive
-permutation sweep out of reach (BasisTooLarge), so hopeless requests fail
-fast instead of grinding.
+Enumeration refuses to start when the full labeled universe, not its
+slice, would exceed a multiple of the configured class cap, or when V > 8
+puts the exhaustive permutation sweep out of reach (BasisTooLarge), so
+hopeless requests fail fast instead of grinding.
 """
 
 from __future__ import annotations
@@ -58,24 +63,33 @@ def _universe_size(v: int, e: int, mode: SymmetryMode) -> int:
     return math.comb(e + p - 1, p - 1)
 
 
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """All ways to write `total` as an ordered sum of `parts` naturals.
+def _stacked(heads, tails: list[np.ndarray], dtype) -> np.ndarray:
+    """The rows (head, *tail) for each head and each row of its block of tails, in order."""
+    out, at = np.empty((sum(map(len, tails)), 1 + tails[0].shape[1]), dtype), 0
+    for head, tail in zip(heads, tails):  # each block copied once, straight into place
+        out[at : at + len(tail), 0], out[at : at + len(tail), 1:] = head, tail
+        at += len(tail)
+    return out
+
+
+def _compositions(total: int, parts: int, bound: int | None = None) -> np.ndarray:
+    """All ways to write `total` as an ordered sum of `parts` naturals, each at
+    most `bound` (default `total`), in ascending order.
 
     The entries take the least unsigned dtype holding `total` (uint8 up to 255).
     The memo lives for one call, so no universe outlasts its cell.
     """
+    bound = total if bound is None else bound
 
     @functools.cache
     def blocks(total: int, parts: int) -> np.ndarray:
         dtype = np.min_scalar_type(total)
-        if parts == 1:
-            return np.array([[total]], dtype=dtype)
-        out, at = np.empty((math.comb(total + parts - 1, parts - 1), parts), dtype), 0
-        for first in range(total + 1):  # each sub-block copied once, straight into place
-            rest = blocks(total - first, parts - 1)
-            out[at : at + len(rest), 0], out[at : at + len(rest), 1:] = first, rest
-            at += len(rest)
-        return out
+        if total > bound * parts:
+            return np.empty((0, parts), dtype)
+        if parts == 0:
+            return np.empty((1, 0), dtype)
+        heads = range(max(0, total - bound * (parts - 1)), min(total, bound) + 1)
+        return _stacked(heads, [blocks(total - head, parts - 1) for head in heads], dtype)
 
     try:
         return blocks(total, parts)
@@ -84,15 +98,22 @@ def _compositions(total: int, parts: int) -> np.ndarray:
 
 
 def _labeled_universe(v: int, e: int, mode: SymmetryMode, tables) -> np.ndarray:
-    """Rows of the labeled universe: pair-id sequences or multiplicity vectors."""
+    """The first-pair slice of the labeled universe, in ascending row order.
+
+    Some vertex permutation moves any pair onto pair 0, (1, 2).  So the least
+    pair-id sequence of a class starts with pair 0 (LITERAL), and the greatest
+    multiplicity vector has its greatest entry on pair 0 (otherwise): only
+    those rows can be canonical, and only they are built.
+    """
     p = len(tables.pairs)
     if mode is SymmetryMode.LITERAL:
         digits = np.arange(p, dtype=np.uint8)
-        arr = np.empty((p**e, e), dtype=np.uint8)
-        for col in range(e):
-            arr[:, col] = np.tile(np.repeat(digits, p ** (e - 1 - col)), p**col)
+        arr = np.zeros((p ** (e - 1), e), dtype=np.uint8)
+        for col in range(1, e):
+            arr[:, col] = np.tile(np.repeat(digits, p ** (e - 1 - col)), p ** (col - 1))
         return arr
-    return _compositions(e, p)
+    heads = range(-(-e // p), e + 1)  # the greatest of p entries summing to E is at least E/p
+    return _stacked(heads, [_compositions(e - m, p - 1, m) for m in heads], np.min_scalar_type(e))
 
 
 def _valence_filter(arr: np.ndarray, v: int, mode: SymmetryMode, tables, trivalent: bool) -> np.ndarray:
@@ -138,7 +159,11 @@ def enumerate_by_counts(
     mode: SymmetryMode = SymmetryMode.LITERAL,
     cap: int | None = None,
 ) -> list[GraphClass]:
-    """All nonzero classes with the given vertex and edge counts, sorted."""
+    """All nonzero classes with the given vertex and edge counts, sorted.
+
+    The refusal bound counts the full labeled universe (_universe_size), of
+    which only the first-pair slice is built.
+    """
     cap = resolve_cap(cap)
     v, e = vertex_count, edge_count
     if v < 2 or e < 1 or 2 * e < v:

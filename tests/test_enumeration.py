@@ -33,6 +33,26 @@ MODES = (SymmetryMode.LITERAL, SymmetryMode.EDGE_RENUMBERING)
 ORACLE_CELLS = [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (4, 4), (4, 5)]
 
 
+def stars_and_bars(total, parts):
+    """Every composition of total into parts naturals, in the order of its bar positions."""
+    slots = total + parts - 1
+    return [
+        [b - a - 1 for a, b in zip((-1, *bars), (*bars, slots))]
+        for bars in itertools.combinations(range(slots), parts - 1)
+    ]
+
+
+def full_universe(v, e, mode):
+    """The whole labeled universe in ascending row order, built with itertools
+    alone: every pair-id sequence, or every multiplicity vector."""
+    p = v * (v - 1) // 2
+    if mode is SymmetryMode.LITERAL:
+        rows, dtype = list(itertools.product(range(p), repeat=e)), np.uint8
+    else:
+        rows, dtype = stars_and_bars(e, p), np.min_scalar_type(e)
+    return np.array(rows, dtype=dtype)
+
+
 # ---------------------------------------------------------------------------
 # Worked examples and frozen counts.
 # ---------------------------------------------------------------------------
@@ -170,6 +190,27 @@ def test_compositions_match_stars_and_bars(total, parts, dtype):
 
 
 @pytest.mark.parametrize(
+    "total, parts, bound",
+    [(0, 3, 0), (4, 3, 0), (5, 3, 2), (6, 3, 2), (7, 3, 2), (4, 3, 4), (4, 3, 9),
+     (3, 1, 3), (3, 1, 2), (256, 2, 200), (300, 3, 120)],
+)
+def test_bounded_compositions_match_filtered_stars_and_bars(total, parts, bound):
+    """Only the compositions whose parts are all at most the bound, in the
+    same order and dtype: none at all once total > parts * bound."""
+    expected = [row for row in stars_and_bars(total, parts) if max(row) <= bound]
+    got = _compositions(total, parts, bound)
+    assert got.dtype == np.min_scalar_type(total)
+    assert got.shape == (len(expected), parts)
+    assert got.tolist() == expected
+
+
+def test_compositions_into_no_parts():
+    """Zero parts sum to zero in one way: the tail of a V = 2 row."""
+    assert _compositions(0, 0, 5).shape == (1, 0)
+    assert _compositions(2, 0, 5).shape == (0, 0)
+
+
+@pytest.mark.parametrize(
     "mode, vertices, edges",
     [
         (SymmetryMode.LITERAL, 4, 5),
@@ -203,6 +244,66 @@ def test_sweep_keeps_exactly_the_canonical_rows(monkeypatch, mode, vertices, edg
     got = {_skeleton_from_row(vertices, row, mode, tables.pairs) for row in survivors}
     assert len(got) == len(survivors)
     assert got == expected
+
+
+@pytest.mark.parametrize(
+    "mode, vertices, edges",
+    [
+        (SymmetryMode.LITERAL, 4, 5),
+        (SymmetryMode.EDGE_RENUMBERING, 5, 6),
+        (SymmetryMode.EDGE_RENUMBERING, 6, 5),
+    ],
+)
+def test_sweep_keeps_exactly_the_canonical_rows_of_the_full_universe(mode, vertices, edges):
+    """On the whole universe, rows outside the first-pair slice included, a
+    filtered row survives the sweep iff it decodes to the canonical
+    skeleton of a nonzero class."""
+    tables = _perm_tables(vertices)
+    rows = _valence_filter(full_universe(vertices, edges, mode), vertices, mode, tables, False)
+    survivors = _bulk_survivors(rows, mode, tables)
+    expected = set()
+    for row in rows:
+        skeleton = _skeleton_from_row(vertices, row, mode, tables.pairs)
+        cls = canonicalize(skeleton, mode)
+        if cls.skeleton == skeleton and not cls.is_zero:
+            expected.add(skeleton)
+    got = {_skeleton_from_row(vertices, row, mode, tables.pairs) for row in survivors}
+    assert len(got) == len(survivors)
+    assert got == expected
+
+
+# Every call of test_class_lists_are_frozen's range whose full universe has at most 20,000 rows.
+SLICE_CELLS = [
+    (mode, v, e)
+    for mode in MODES
+    for v in range(2, 9)
+    for e in range((v + 1) // 2, 3 * v // 2 + 2)
+    if _universe_size(v, e, mode) <= 20_000
+]
+
+
+@pytest.mark.parametrize(
+    "mode, vertices, edges", SLICE_CELLS, ids=[f"{m.value}-{v}-{e}" for m, v, e in SLICE_CELLS]
+)
+def test_the_first_pair_slice_loses_no_canonical_row(mode, vertices, edges):
+    """The universe built is exactly the full universe's rows whose first
+    pair is (1, 2) (LITERAL) or whose first entry is their greatest
+    (otherwise), in strictly ascending key order, and the sweep keeps the
+    same rows of both, trivalent or not."""
+    tables = _perm_tables(vertices)
+    full = full_universe(vertices, edges, mode)
+    part = _labeled_universe(vertices, edges, mode, tables)
+    first = full[:, 0] == (0 if mode is SymmetryMode.LITERAL else full.max(axis=1))
+    assert part.dtype == full.dtype
+    assert part.tolist() == full[first].tolist()
+    keys = _keys(part)
+    assert (keys[:-1] < keys[1:]).all()
+    for trivalent in (False, True) if 2 * edges == 3 * vertices else (False,):
+        full_kept, part_kept = (
+            _bulk_survivors(_valence_filter(rows, vertices, mode, tables, trivalent), mode, tables)
+            for rows in (full, part)
+        )
+        assert full_kept.tolist() == part_kept.tolist()
 
 
 def dimension_table_sweep():
