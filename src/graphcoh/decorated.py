@@ -30,17 +30,18 @@ identity
 
     |sum_k c_k (x)_v T_kv|^2 = sum_{k,l} c_k c_l prod_v <T_kv, T_lv>,
 
-one full pairing per vertex and pair of members.  Rational and radical
-scalars are real (sqrt(d) > 0) and the pairing is orthonormal, so the
-left side is a sum of squares of real numbers and vanishes exactly when
-the total does.  Floating kinds keep the entrywise test of the total
-against a tolerance: rounding in a float sum of squares is far coarser
-than the entrywise tolerance.
+with one integer Gram matrix per vertex and one Fraction per member.
+Rational and radical scalars are real (sqrt(d) > 0) and the pairing is
+orthonormal, so the left side is a sum of squares of real numbers and
+vanishes exactly when the total does.  Floating kinds keep the entrywise
+test of the total against a tolerance: rounding in a float sum of squares
+is far coarser than the entrywise tolerance.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -59,7 +60,6 @@ from .tensors import (
     _tensordot,
     jacobi_violation,
     nonzero_mask,
-    pairing,
     unify_kinds,
 )
 
@@ -245,23 +245,25 @@ def delta_decorated(g: DecoratedGraph) -> DecoratedChain:
 _Member = tuple[Fraction, tuple[EquivariantTensor, ...]]
 
 
-def _gram_norm(members: Sequence[_Member]):
-    """Squared norm of the group total sum_k c_k (x)_v T_kv, exactly.
-
-    Equals sum_{k,l} c_k c_l prod_v <T_kv, T_lv>; each pair k < l is
-    taken once and doubled, and a product stops at its first zero factor.
+def _gram_norm(members: Sequence[_Member], radicand: int | None) -> tuple[Fraction, Fraction]:
+    """The group total's squared norm sum_{k,l} c_k c_l prod_v <T_kv, T_lv>
+    as (rational part, sqrt(d) part): the members' numerators N_v, R_v at
+    vertex v give their pairings times their denominators, A_v + B_v sqrt(d),
+    multiplied entrywise over v; each c_k is divided by those denominators.
     """
-    total = Fraction(0)
-    for k, (ck, decs_k) in enumerate(members):
-        for l in range(k, len(members)):
-            cl, decs_l = members[l]
-            term = ck * cl * (1 if k == l else 2)
-            for a, b in zip(decs_k, decs_l):
-                term = term * pairing(a, b)
-                if term == 0:
-                    break
-            total = total + term
-    return total
+    d = radicand or 0
+    a, b = 1, 0
+    for tensors in zip(*(decs for _, decs in members)):
+        n = np.stack([t.num.ravel() for t in tensors])
+        av, bv = n @ n.T, 0
+        if any(t.rad is not None for t in tensors):
+            r = np.stack([(np.zeros_like(t.num) if t.rad is None else t.rad).ravel() for t in tensors])
+            av, bv = av + d * (r @ r.T), n @ r.T + r @ n.T
+        a, b = a * av + d * b * bv, a * bv + b * av
+    c = [Fraction(coeff, math.prod(t.den for t in decs)) for coeff, decs in members]
+    den = math.lcm(*(x.denominator for x in c))
+    w = np.array([x.numerator * (den // x.denominator) for x in c], dtype=object)
+    return Fraction(w @ a @ w, den * den), Fraction(w @ b @ w, den * den)
 
 
 def _outer_sum(members: Sequence[_Member], kind: ScalarKind) -> np.ndarray:
@@ -285,11 +287,11 @@ def is_cocycle_decorated(c: DecoratedChain, tolerance: float | None = None) -> b
     tensors of one valence.  A group's total is sum_k c_k (x)_v T_kv.
 
     Exact kinds (rational, radical d) test the total's squared norm
-    sum_{k,l} c_k c_l prod_v <T_kv, T_lv> against zero, one full pairing
-    per vertex and pair of members (the Gram identity).  The pairing is
-    orthonormal and a + b*sqrt(d) is real with sqrt(d) > 0, so the
-    squared norm is a sum of squares of real entries: it is zero exactly
-    when every entry of the total is, and no outer product is formed.
+    sum_{k,l} c_k c_l prod_v <T_kv, T_lv> against zero (the Gram identity):
+    one integer Gram matrix of the members per vertex, multiplied entrywise
+    over the vertices, and one Fraction per member.  As a + b*sqrt(d) is
+    real and the pairing orthonormal, the norm is a sum of squares of real
+    entries, zero exactly when the total is; no outer product is formed.
 
     Floating kinds (and exact kinds mixed with them, which need an
     explicit tolerance) build the total entrywise and compare each entry
@@ -315,7 +317,7 @@ def is_cocycle_decorated(c: DecoratedChain, tolerance: float | None = None) -> b
         if len(dims) > 1:
             raise ShapeMismatch(f"skeleton group mixes dimensions {sorted(dims)}")
         if kind.is_exact:
-            if _gram_norm(members) != 0:
+            if any(_gram_norm(members, kind.radicand)):
                 return False
         elif nonzero_mask(_outer_sum(members, kind), False, tolerance).any():
             return False

@@ -33,7 +33,6 @@ hopeless requests fail fast instead of grinding.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -74,27 +73,22 @@ def _stacked(heads, tails: list[np.ndarray], dtype) -> np.ndarray:
 
 def _compositions(total: int, parts: int, bound: int | None = None) -> np.ndarray:
     """All ways to write `total` as an ordered sum of `parts` naturals, each at
-    most `bound` (default `total`), in ascending order.
+    most `bound` (default `total`), in ascending order and in the least
+    unsigned dtype holding `total` (uint8 up to 255).
 
-    The entries take the least unsigned dtype holding `total` (uint8 up to 255).
-    The memo lives for one call, so no universe outlasts its cell.
+    Built bottom-up: level k maps each sum of the last k parts that the first
+    parts - k can still complete to its compositions, (head, tail) over
+    ascending heads with the tails from level k - 1.
     """
     bound = total if bound is None else bound
-
-    @functools.cache
-    def blocks(total: int, parts: int) -> np.ndarray:
-        dtype = np.min_scalar_type(total)
-        if total > bound * parts:
-            return np.empty((0, parts), dtype)
-        if parts == 0:
-            return np.empty((1, 0), dtype)
-        heads = range(max(0, total - bound * (parts - 1)), min(total, bound) + 1)
-        return _stacked(heads, [blocks(total - head, parts - 1) for head in heads], dtype)
-
-    try:
-        return blocks(total, parts)
-    finally:
-        blocks.cache_clear()  # blocks refers to itself, so only gc would free it
+    dtype = np.min_scalar_type(total)
+    level = {0: np.empty((1, 0), dtype)}
+    for k in range(1, parts + 1):
+        below, level = level, {}
+        for t in range(max(0, total - bound * (parts - k)), min(total, bound * k) + 1):
+            heads = range(max(0, t - bound * (k - 1)), min(t, bound) + 1)
+            level[t] = _stacked(heads, [below[t - head] for head in heads], dtype)
+    return level.get(total, np.empty((0, parts), dtype))
 
 
 def _labeled_universe(v: int, e: int, mode: SymmetryMode, tables) -> np.ndarray:

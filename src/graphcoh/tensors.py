@@ -96,18 +96,10 @@ class Rad:
     __radd__ = __add__
 
     def __sub__(self, other):
-        pair = self._align(other)
-        if pair is None:
-            return NotImplemented
-        x, y = pair
-        return Rad(x.a - y.a, x.b - y.b, x.d)
+        return NotImplemented if self._align(other) is None else self + -other
 
     def __rsub__(self, other):
-        pair = self._align(other)
-        if pair is None:
-            return NotImplemented
-        x, y = pair
-        return Rad(y.a - x.a, y.b - x.b, x.d)
+        return NotImplemented if self._align(other) is None else -self + other
 
     def __mul__(self, other):
         pair = self._align(other)

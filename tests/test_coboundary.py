@@ -225,6 +225,10 @@ def test_delta_of_empty_cochain_is_empty():
     assert delta(Cochain()).is_zero
 
 
+def test_delta_of_the_empty_graph_class_is_zero():
+    assert delta(canonicalize(new_graph(0, ()))).is_zero
+
+
 @pytest.mark.parametrize("mode", MODES)
 @given(g=skeletons(max_vertices=4, max_edges=6))
 def test_delta_matches_oracle(mode, g):

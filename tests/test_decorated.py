@@ -1,6 +1,7 @@
 """Decorated graphs: evaluation, decorated coboundary, closure checks."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ import oracles
 from graphcoh.canonical import self_symmetries
 from graphcoh.decorated import (
     DecoratedChain,
+    _gram_norm,
     contract_decoration,
     decorate,
     decorate_uniform,
@@ -125,6 +127,12 @@ def test_k4_evaluates_to_six():
 def test_zero_decoration_evaluates_to_zero():
     g = theta_graph()
     assert evaluate(decorate(g, [EPS, zero_tensor(3, 3)])) == 0
+
+
+def test_float_theta_evaluates_to_a_float():
+    half = make_tensor((np.array(EPS.array, dtype=float) * 0.5).tolist(), label="half-eps")
+    value = evaluate(decorate_uniform(theta_graph(), half))
+    assert type(value) is float and value == 1.5
 
 
 @given(g=skeletons(max_vertices=4, max_edges=4), data=st.data())
@@ -638,6 +646,49 @@ def test_closure_verdicts_match_the_outer_product_oracle():
         assert got == oracles.decorated_closure(terms), edges
         verdicts.append(got)
     assert True in verdicts and False in verdicts
+
+
+def seeded_gram_group(rng, radicand):
+    """Members (c_k, tensors at each vertex) on one random list of valences,
+    dim 2, with mixed denominators; under a radicand each tensor is rational
+    or radical at random, and a member's negation may join the group."""
+    def q():
+        return Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 5)))
+
+    def tensor(valence):
+        if radicand and rng.random() < 0.5:
+            values, kind = [Rad(q(), q(), radicand) for _ in range(2**valence)], radical(radicand)
+        else:
+            values, kind = [q() for _ in range(2**valence)], RATIONAL
+        arr = np.empty(len(values), dtype=object)
+        arr[:] = values
+        return make_tensor(arr.reshape((2,) * valence), kind=kind)
+
+    valences = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4)))]
+    members = [(q() or Fraction(1), tuple(tensor(v) for v in valences)) for _ in range(int(rng.integers(1, 5)))]
+    if rng.random() < 0.3:
+        members.append((-members[0][0], members[0][1]))
+    return members
+
+
+def test_gram_norm_is_the_sum_of_pairings_exactly():
+    """_gram_norm's rational and sqrt(d) parts are those of
+    sum_{k,l} c_k c_l prod_v pairing(T_kv, T_lv), on 400 seeded groups."""
+    rng = np.random.default_rng(20261019)
+    cancelled = 0
+    for i in range(400):
+        radicand = 2 if i % 2 else None
+        members = seeded_gram_group(rng, radicand)
+        want = sum(
+            ck * cl * math.prod(pairing(a, b) for a, b in zip(dk, dl))
+            for ck, dk in members
+            for cl, dl in members
+        )
+        want = (want.a, want.b) if isinstance(want, Rad) else (want, 0)
+        got = _gram_norm(members, radicand)
+        assert got == want and all(type(x) is Fraction for x in got), i
+        cancelled += got == (0, 0)
+    assert cancelled > 10
 
 
 def float_copy(t, nudge=0.0):

@@ -380,6 +380,15 @@ def test_class_count_above_cap_is_rejected():
         enumerate_trivalent(2, connected=True, mode=SymmetryMode.LITERAL, cap=50)
 
 
+def test_class_count_refusal_names_the_count():
+    """The universe of (3, 4) is within 50 times either cap, so only the
+    count of the 13 classes decides."""
+    with pytest.raises(BasisTooLarge, match="13 classes at V=3, E=4") as info:
+        enumerate_by_counts(3, 4, cap=2)
+    assert info.value.cap == 2
+    assert len(enumerate_by_counts(3, 4, cap=13)) == 13
+
+
 @pytest.mark.parametrize(
     "vertices, bound",
     [(9, "V <= 8")],

@@ -58,6 +58,17 @@ def test_rad_arithmetic():
     assert float(r) == pytest.approx(1.5 * 5**0.5)
 
 
+@pytest.mark.parametrize("x", [3, Fraction(-2, 7), Rad(Fraction(1, 3), Fraction(-1, 2), 5)])
+def test_rad_subtraction_both_ways(x):
+    r = Rad(Fraction(1, 2), Fraction(3, 2), 5)
+    xa, xb = (x.a, x.b) if isinstance(x, Rad) else (x, 0)
+    assert r - x == Rad(r.a - xa, r.b - xb, 5)
+    assert x - r == Rad(xa - r.a, xb - r.b, 5)
+    with pytest.raises(TypeError):
+        1.5 - r
+    assert not Rad(0, 0, 2)
+
+
 def test_rad_rational_embedding():
     assert Rad(Fraction(2), Fraction(0), 5) == Fraction(2)
     assert hash(Rad(Fraction(2), Fraction(0), 5)) == hash(Fraction(2))
