@@ -19,17 +19,7 @@ import sys
 from graphcoh.coboundary import delta_matrix
 from graphcoh.enumeration import resolve_cap
 from graphcoh.errors import BasisTooLarge, GraphCohError
-from graphcoh.graphs import SymmetryMode, counts_for_grading
-
-
-def cells(max_vertices: int):
-    """(order, degree) of every (V, E) cell with 2 <= V <= max_vertices and degree <= 0.
-
-    (V, E) -> (E - V, 2E - 3V) is a bijection, so no cell repeats.
-    """
-    for v in range(2, max_vertices + 1):
-        for e in range((v + 1) // 2, (3 * v) // 2 + 1):
-            yield e - v, 2 * e - 3 * v
+from graphcoh.graphs import SymmetryMode, cells, counts_for_grading
 
 
 def print_table(args: argparse.Namespace) -> None:

@@ -36,6 +36,7 @@ from .errors import GraphCohError, _data_lines
 from .graphs import (
     GraphSkeleton,
     SymmetryMode,
+    cells,
     format_graph,
     format_graphs,
     new_graph,
@@ -286,11 +287,9 @@ def _modes(args: argparse.Namespace) -> list[SymmetryMode]:
 
 
 def _delta2_universe(mode: SymmetryMode, max_order: int, cap: int | None):
-    vmax = DELTA2_VMAX[mode]
-    for v in range(2, vmax + 1):
-        emax = min((3 * v) // 2, v + max_order)
-        for e in range((v + 1) // 2, emax + 1):
-            yield from enumerate_grading(e - v, 2 * e - 3 * v, mode=mode, cap=cap)
+    for order, degree in cells(DELTA2_VMAX[mode]):
+        if order <= max_order:
+            yield from enumerate_grading(order, degree, mode=mode, cap=cap)
 
 
 def suite_delta2(args: argparse.Namespace, lines: list[str]) -> None:

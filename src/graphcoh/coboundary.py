@@ -19,8 +19,8 @@ call.  Both read delta of a class through _columns, the one path from
 images to columns {image class: integer coefficient}: it keeps a per-class
 memo of at most 2**17 classes, contracts only the classes the memo lacks
 and names each distinct image class once.  delta of a cochain sums integer
-numerators over the lcm of its denominators; delta_matrix looks each
-distinct image class up among the codomain classes once.
+numerators over the lcm of its denominators; delta_matrix finds each
+image's row in one dict over the codomain classes.
 
 Ranks and kernels are computed over exact rationals by one sparse
 Gauss-Jordan pass over the matrix's own (row, col) entries: columns are
@@ -97,8 +97,6 @@ class Cochain:
     def __init__(self, terms: Mapping[GraphClass, Fraction] | Iterable[tuple[GraphClass, Fraction]] = ()):
         acc: dict[GraphClass, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        mode = v = e = None  # the first term's; (V, E) fixes the grading
-        mixed = False  # a term that later cancels may set it; the check below is exact
         for cls, coeff in items:
             if type(coeff) is not Fraction:
                 coeff = Fraction(coeff)
@@ -113,17 +111,13 @@ class Cochain:
                 )
             prev = acc.get(cls)
             acc[cls] = coeff if prev is None else prev + coeff
-            g = cls.skeleton
-            if mode is None:
-                mode, v, e = cls.mode, g.vertex_count, len(g.edges)
-            mixed = mixed or cls.mode is not mode or g.vertex_count != v or len(g.edges) != e
         self._terms = {k: x for k, x in acc.items() if x}
-        if mixed:
+        # only the terms kept count, so one that cancelled leaves no mix; (V, E) fixes the grading
+        if len({(k.mode, k.skeleton.vertex_count, len(k.skeleton.edges)) for k in self._terms}) > 1:
             gradings = {k.grading for k in self._terms}
             if len(gradings) > 1:
                 raise ValueError(f"cochain mixes gradings {sorted(gradings)}")
-            if len({k.mode for k in self._terms}) > 1:
-                raise ValueError("cochain mixes symmetry modes")
+            raise ValueError("cochain mixes symmetry modes")
 
     @classmethod
     def from_class(cls, graph_class: GraphClass, coeff: Fraction | int = 1) -> "Cochain":
@@ -326,15 +320,12 @@ def delta_matrix(
     domain = tuple(enumerate_grading(order, degree, connected=connected, mode=mode, cap=cap))
     codomain = tuple(enumerate_grading(order, degree + 1, connected=connected, mode=mode, cap=cap))
     row_of = {cls: r for r, cls in enumerate(codomain)}
-    rows: dict[GraphClass, int] = {}  # each distinct image, matched in row_of once
     entries: dict[tuple[int, int], int] = {}
     for c, column in enumerate(_columns(domain)):
         for target, k in column.items():
-            r = rows.get(target)
+            r = row_of.get(target)
             if r is None:
-                if target not in row_of:
-                    raise AssertionError(f"delta image {target.skeleton.edges} missing from codomain basis")
-                r = rows[target] = row_of[target]
+                raise AssertionError(f"delta image {target.skeleton.edges} missing from codomain basis")
             entries[(r, c)] = k
     return DeltaMatrix(order, degree, mode, connected, domain, codomain, entries)
 

@@ -229,10 +229,7 @@ def delta_decorated(g: DecoratedGraph) -> DecoratedChain:
         merged = contract_decoration(g.decorations[i - 1], g.decorations[j - 1], k, l)
         # realign merged slots with the contracted skeleton's half-edge order
         slot_edges = [x for x in inc_i if x != e] + [x for x in inc_j if x != e]
-        target = sorted(slot_edges)
-        if target != slot_edges:
-            axes = [slot_edges.index(x) for x in target]
-            merged = merged.transpose(axes)
+        merged = merged.transpose(sorted(range(len(slot_edges)), key=slot_edges.__getitem__))
         contracted, sign, new = _contract(skel, e, valences)
         decs: list = [None] * contracted.vertex_count
         for w, t in zip(new, g.decorations):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import FormatError, IsolatedVertex, LoopEdge, VertexOutOfRange, _data_lines
 
@@ -136,6 +136,17 @@ def grading(g: GraphSkeleton) -> tuple[int, int]:
 def counts_for_grading(order: int, degree: int) -> tuple[int, int]:
     """Invert the grading: V = 2*order - degree, E = 3*order - degree."""
     return (2 * order - degree, 3 * order - degree)
+
+
+def cells(max_vertices: int) -> Iterator[tuple[int, int]]:
+    """(order, degree) of every (V, E) cell with 2 <= V <= max_vertices and
+    degree <= 0, in ascending (V, E) order.
+
+    (V, E) -> (E - V, 2E - 3V) is a bijection, so no cell repeats.
+    """
+    for v in range(2, max_vertices + 1):
+        for e in range((v + 1) // 2, (3 * v) // 2 + 1):
+            yield e - v, 2 * e - 3 * v
 
 
 def is_trivalent(g: GraphSkeleton) -> bool:

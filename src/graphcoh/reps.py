@@ -117,12 +117,6 @@ class LieData:
 _BUILTIN_TABLES = {"su2": eps_tensor}
 
 
-def _validate_structure(f: EquivariantTensor, tolerance: float | None) -> None:
-    witness = jacobi_violation(f, tolerance)
-    if witness is not None:
-        raise JacobiFailed(witness)
-
-
 def lie_data(table, dim: int | None = None, tolerance: float | None = None) -> LieData:
     """Validate a structure-constant table (builtin name or array-like).
 
@@ -142,5 +136,7 @@ def lie_data(table, dim: int | None = None, tolerance: float | None = None) -> L
         tensor = make_tensor(table, label="f")
     if dim is not None and tensor.dim != dim:
         raise ShapeMismatch(f"declared dimension {dim} but table has dimension {tensor.dim}")
-    _validate_structure(tensor, tolerance)
+    witness = jacobi_violation(tensor, tolerance)
+    if witness is not None:
+        raise JacobiFailed(witness)
     return LieData(tensor.dim, tensor)

@@ -370,14 +370,19 @@ def test_determinism():
 # ---------------------------------------------------------------------------
 
 
-def test_huge_universe_is_rejected_up_front():
-    with pytest.raises(BasisTooLarge):
-        enumerate_by_counts(4, 6, mode=SymmetryMode.LITERAL, cap=1)
-
-
-def test_class_count_above_cap_is_rejected():
-    with pytest.raises(BasisTooLarge):
-        enumerate_trivalent(2, connected=True, mode=SymmetryMode.LITERAL, cap=50)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: enumerate_by_counts(4, 6, mode=SymmetryMode.LITERAL, cap=1),
+        lambda: enumerate_trivalent(2, connected=True, mode=SymmetryMode.LITERAL, cap=50),
+    ],
+    ids=["by-counts", "trivalent"],
+)
+def test_huge_universe_is_rejected_up_front(build):
+    """Both entry points are refused by the universe bound before any
+    class is counted: the literal (4, 6) universe is 46,656 > 50 * cap."""
+    with pytest.raises(BasisTooLarge, match="labeled universe at V=4, E=6 has 46656 candidates"):
+        build()
 
 
 def test_class_count_refusal_names_the_count():

@@ -9,6 +9,7 @@ from graphcoh.errors import FormatError, IsolatedVertex, LoopEdge, VertexOutOfRa
 from graphcoh.graphs import (
     EMPTY_GRAPH,
     SymmetryMode,
+    cells,
     counts_for_grading,
     format_graph,
     format_graphs,
@@ -104,6 +105,23 @@ def test_counts_for_grading_inverts_grading():
     for g in (theta_graph(), k4_graph(), new_graph(3, [(1, 2), (2, 3)])):
         order, degree = grading(g)
         assert counts_for_grading(order, degree) == (g.vertex_count, g.edge_count)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 4, 6, 8])
+def test_cells_walk_each_nonpositive_degree_cell_once(bound):
+    """Every (V, E) with 2 <= V <= bound that a graph without isolated
+    vertices reaches at degree <= 0, once each, in ascending (V, E) order."""
+    expected = [
+        (v, e) for v in range(2, bound + 1) for e in range(3 * v + 1)
+        if 2 * e >= v and 2 * e - 3 * v <= 0
+    ]
+    assert [counts_for_grading(order, degree) for order, degree in cells(bound)] == expected
+
+
+def test_cells_are_the_dimension_table_sweeps():
+    """Literal V <= 4 and edge-renumbering V <= 6: the 34 cells of the table."""
+    assert len(list(cells(4))) == 11
+    assert len(list(cells(6))) == 23
 
 
 @given(skeletons())

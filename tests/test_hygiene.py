@@ -6,8 +6,10 @@ that are never referenced (the package __init__, which re-exports, is
 exempt).  It also fails on module-level functions, classes and constants
 of src/graphcoh/ that nothing in src/, tests/ or scripts/ names outside
 their own definition (dunder names are exempt), on package names the
-benchmark's tracer wraps or reads that no longer exist, and on calls to
-splitlines() outside errors.py, whose line reader every text format shares.
+benchmark's tracer wraps or reads that no longer exist, on calls to
+splitlines() outside errors.py, whose line reader every text format shares,
+and on third-party modules a test importorskips that the dev extra of
+pyproject.toml does not list.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -155,3 +159,33 @@ def test_benchmark_tracer_hooks_resolve():
                 owner = getattr(owner, attr)
     canonical = importlib.import_module("graphcoh.canonical")
     assert callable(canonical._canonicalize_cached.cache_info)
+
+
+def importorskip_modules(source: str) -> set[str]:
+    """Top-level modules that pytest.importorskip calls in source name."""
+    return {
+        n.args[0].value.split(".")[0]
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "importorskip"
+        and n.args
+        and isinstance(n.args[0], ast.Constant)
+    }
+
+
+def test_importorskip_module_is_detected():
+    source = 'import pytest\nsympy = pytest.importorskip("sympy")\nnx = pytest.importorskip("networkx.algorithms")\n'
+    assert importorskip_modules(source) == {"sympy", "networkx"}
+
+
+def test_dev_extra_lists_every_module_a_test_skips_without():
+    """An install with the dev extra runs every test that importorskips a
+    third-party module; the standard library needs no listing."""
+    tomllib = pytest.importorskip("tomllib")
+    with (ROOT / "pyproject.toml").open("rb") as fh:
+        dev = tomllib.load(fh)["project"]["optional-dependencies"]["dev"]
+    listed = {re.match(r"[A-Za-z0-9_.-]+", req)[0].lower().replace("-", "_") for req in dev}
+    skipped = set().union(*(importorskip_modules(p.read_text()) for p in (ROOT / "tests").glob("*.py")))
+    assert "sympy" in skipped
+    assert sorted(skipped - listed - set(sys.stdlib_module_names)) == []
