@@ -14,6 +14,7 @@ Example:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from graphcoh.coboundary import delta_matrix
@@ -52,6 +53,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         print_table(args)
+    except BrokenPipeError:  # the reader closed stdout: the output ends here
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # and so does the final flush
     except (GraphCohError, OSError, ValueError) as exc:
         print(f"dimension_table: {exc}", file=sys.stderr)
         return 1

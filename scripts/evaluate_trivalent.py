@@ -12,6 +12,7 @@ Example:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -61,6 +62,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         run(args)
+    except BrokenPipeError:  # the reader closed stdout: the output ends here
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # and so does the final flush
     except (GraphCohError, OSError, ValueError) as exc:
         print(f"evaluate_trivalent: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,8 @@ by every permutation, enumeration every row of a cell by one permutation
 at a time, and canonical_rows many rows by every permutation, in chunks
 under a fixed byte budget.  Rows compare as big-endian byte keys exactly
 as wide as their entries (_keys), so one argmin (argmax) picks each
-canonical row; canonicalize is canonical_rows on one row.
+canonical row; canonicalize is canonical_rows on one row.  _skeletons
+decodes a stack of rows of either format back into skeletons.
 """
 
 from __future__ import annotations
@@ -129,13 +130,13 @@ def _rows_of(gs, mode: SymmetryMode, tables: _PermTables) -> tuple[np.ndarray, n
     return (pid[..., None] == np.arange(len(tables.pairs))).sum(axis=1, dtype=np.int16), reversals
 
 
-def _skeleton_from_row(v: int, row, mode: SymmetryMode, pairs) -> GraphSkeleton:
-    """Decode a row of pair ids (LITERAL) or pair multiplicities (otherwise)."""
-    if mode is SymmetryMode.LITERAL:
-        edges = tuple(pairs[int(p)] for p in row)
-    else:
-        edges = tuple(pairs[pid] for pid, m in enumerate(row) for _ in range(int(m)))
-    return GraphSkeleton(v, edges)
+def _skeletons(v: int, rows: np.ndarray, mode: SymmetryMode, pairs) -> list[GraphSkeleton]:
+    """Skeletons of a stack of rows of pair ids (LITERAL) or pair multiplicities
+    (otherwise), which are first spelled out as their pair ids in ascending order."""
+    if mode is not SymmetryMode.LITERAL and len(rows):
+        pair_ids = np.tile(np.arange(rows.shape[1], dtype=np.uint8), len(rows))  # p <= 28 pairs
+        rows = np.repeat(pair_ids, rows.ravel()).reshape(len(rows), -1)
+    return [GraphSkeleton(v, tuple(map(pairs.__getitem__, row))) for row in rows.tolist()]
 
 
 def _act(tables: _PermTables, mode: SymmetryMode, rows: np.ndarray, g) -> np.ndarray:
@@ -193,8 +194,8 @@ def canonical_rows(tables: _PermTables, mode: SymmetryMode, rows: np.ndarray, re
 @functools.lru_cache(maxsize=1 << 18)
 def _canonicalize_cached(g: GraphSkeleton, mode: SymmetryMode):
     tables = _perm_tables(g.vertex_count)
-    (best,), (witness,), (sign,), (zero,) = canonical_rows(tables, mode, *_rows_of([g], mode, tables))
-    skeleton = _skeleton_from_row(g.vertex_count, best, mode, tables.pairs)
+    best, (witness,), (sign,), (zero,) = canonical_rows(tables, mode, *_rows_of([g], mode, tables))
+    (skeleton,) = _skeletons(g.vertex_count, best, mode, tables.pairs)
     return GraphClass(skeleton, 0 if zero else int(sign), mode), tables.perms[witness], int(sign)
 
 

@@ -18,7 +18,7 @@ rows of canonical at once through tables read off _contract
 call.  Both read delta of a class through _columns, the one path from
 images to columns {image class: integer coefficient}: it keeps a per-class
 memo of at most 2**17 classes, contracts only the classes the memo lacks
-and names each distinct image class once.  delta of a cochain sums integer
+and decodes each distinct image row once.  delta of a cochain sums integer
 numerators over the lcm of its denominators; delta_matrix finds each
 image's row in one dict over the codomain classes.
 
@@ -42,7 +42,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .canonical import GraphClass, _perm_tables, _rows_of, _skeleton_from_row, canonical_rows
+from .canonical import GraphClass, _perm_tables, _rows_of, _skeletons, canonical_rows
 from .enumeration import enumerate_grading
 from .errors import DegenerateContraction, FormatError, NotRegular, _data_lines
 from .graphs import GraphSkeleton, SymmetryMode
@@ -236,21 +236,21 @@ _COLUMNS: dict[GraphClass, dict[GraphClass, int]] = {}
 def _columns(classes: Sequence[GraphClass]) -> list[dict[GraphClass, int]]:
     """delta of each basis class of one grading and mode as {image class:
     coefficient}, read from the memo; the classes it lacks are contracted in
-    one _images call that names each distinct image class once, and stored,
+    one _images call, whose distinct image rows are decoded once, and stored,
     dropping the oldest past the bound."""
     columns = [_COLUMNS.get(cls) for cls in classes]
     missing = [cls for cls, col in zip(classes, columns) if col is None]
     if missing:
         mode, v = missing[0].mode, missing[0].skeleton.vertex_count - 1
-        found: dict[bytes, GraphClass] = {}
-        sums: list[dict[GraphClass, int]] = [{} for _ in missing]
+        first: dict[bytes, int] = {}  # image row bytes -> index of its first row
+        sums: list[dict[int, int]] = [{} for _ in missing]
         src, image, coeff = _images(missing)
-        for s, row, k in zip(src.tolist(), image, coeff.tolist()):
-            key = row.tobytes()
-            target = found[key] = found.get(key) or GraphClass(
-                _skeleton_from_row(v, row, mode, _perm_tables(v).pairs), 1, mode)
+        for i, (s, row, k) in enumerate(zip(src.tolist(), image, coeff.tolist())):
+            target = first.setdefault(row.tobytes(), i)
             sums[s][target] = sums[s].get(target, 0) + k
-        fresh = {cls: {t: k for t, k in col.items() if k} for cls, col in zip(missing, sums)}
+        skeletons = _skeletons(v, image[list(first.values())], mode, _perm_tables(v).pairs)
+        found = {i: GraphClass(g, 1, mode) for i, g in zip(first.values(), skeletons)}
+        fresh = {cls: {found[t]: k for t, k in col.items() if k} for cls, col in zip(missing, sums)}
         _COLUMNS.update(fresh)
         for stale in list(itertools.islice(_COLUMNS, max(0, len(_COLUMNS) - _COLUMN_BOUND))):
             del _COLUMNS[stale]

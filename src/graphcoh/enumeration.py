@@ -21,9 +21,10 @@ dropping other rows early changes nothing.  Permutations come in order of
 how many points they move, transpositions first, since the cheapest moves
 kill most rows.  Rows that survive every permutation are the canonical
 nonzero ones.  The slice is built in ascending row order and only masked
-after, so they decode into sorted classes: in row order in LITERAL
-mode, reversed otherwise (the greatest multiplicity vector is the least
-edge list).
+after, so one canonical._skeletons call decodes them in sorted order: in
+row order in LITERAL mode, reversed otherwise (the greatest multiplicity
+vector is the least edge list).  The connected filter reads the skeletons,
+so a GraphClass is built only for a class that is returned.
 
 Enumeration refuses to start when the full labeled universe, not its
 slice, would exceed a multiple of the configured class cap, or when V > 8
@@ -37,7 +38,7 @@ import math
 
 import numpy as np
 
-from .canonical import _LARGE_FACTORIAL_GUARD, GraphClass, _act, _keys, _perm_tables, _signs, _skeleton_from_row
+from .canonical import _LARGE_FACTORIAL_GUARD, GraphClass, _act, _keys, _perm_tables, _signs, _skeletons
 from .errors import BasisTooLarge
 from .graphs import SymmetryMode, counts_for_grading, is_connected
 
@@ -176,19 +177,16 @@ def enumerate_by_counts(
         )
 
     tables = _perm_tables(v)
-    arr = _valence_filter(_labeled_universe(v, e, mode, tables), v, mode, tables, trivalent)
-    rows = _bulk_survivors(arr, mode, tables)
-    classes = [
-        GraphClass(_skeleton_from_row(v, row, mode, tables.pairs), 1, mode)
-        for row in (rows if mode is SymmetryMode.LITERAL else rows[::-1])
-    ]
+    rows = _bulk_survivors(
+        _valence_filter(_labeled_universe(v, e, mode, tables), v, mode, tables, trivalent), mode, tables)
+    skeletons = _skeletons(v, rows if mode is SymmetryMode.LITERAL else rows[::-1], mode, tables.pairs)
     if connected:
-        classes = [c for c in classes if is_connected(c.skeleton)]
-    if len(classes) > cap:
+        skeletons = [g for g in skeletons if is_connected(g)]
+    if len(skeletons) > cap:
         raise BasisTooLarge(
-            f"{len(classes)} classes at V={v}, E={e} exceed the cap", cap
+            f"{len(skeletons)} classes at V={v}, E={e} exceed the cap", cap
         )
-    return classes
+    return [GraphClass(g, 1, mode) for g in skeletons]
 
 
 def enumerate_grading(

@@ -280,6 +280,8 @@ def parse_graphs(text: str) -> list[GraphSkeleton]:
             v, e = int(parts[1]), int(parts[3])
         except ValueError:
             raise FormatError(ln, f"bad counts in {line!r}") from None
+        if v < 0 or e < 0:
+            raise FormatError(ln, f"negative count in {line!r}")
         edges = []
         for ln, line in itertools.islice(lines, e):
             parts = line.split()

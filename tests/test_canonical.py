@@ -19,7 +19,7 @@ from graphcoh.canonical import (
     GraphClass,
     _perm_tables,
     _rows_of,
-    _skeleton_from_row,
+    _skeletons,
     canonical_rows,
     canonicalize,
     self_symmetries,
@@ -131,9 +131,9 @@ def assert_batch_matches_oracle(gs, mode):
     v = gs[0].vertex_count
     tables = _perm_tables(v)
     best, witness, sign, zero = canonical_rows(tables, mode, *_rows_of(gs, mode, tables))
-    for g, row, perm, s, z in zip(gs, best, witness, sign, zero):
+    for g, skeleton, perm, s, z in zip(gs, _skeletons(v, best, mode, tables.pairs), witness, sign, zero):
         form, oracle_sign = oracles.canonical_class(v, g.edges, mode.value)
-        assert _skeleton_from_row(v, row, mode, tables.pairs).edges == form
+        assert skeleton.edges == form
         assert bool(z) == (oracle_sign == 0)
         if not z:
             assert s == oracle_sign

@@ -270,6 +270,16 @@ def test_eval_decoration_file_must_cover_all_vertices(capsys, tmp_path):
     assert "lacks vertices" in err
 
 
+@pytest.mark.parametrize("header", ["V 2 E -1", "V -1 E 0"])
+def test_eval_reports_a_negative_count_on_one_line(capsys, tmp_path, header):
+    graph_file = tmp_path / "bad.txt"
+    graph_file.write_text(f"{header}\n1 2\n")
+    rc, out, err = run_cli(capsys, "eval", "--in", str(graph_file), "--tensor", "eps")
+    assert rc == 1
+    assert out == ""
+    assert err == f"graphcoh eval: line 1: negative count in {header!r}\n"
+
+
 @pytest.mark.parametrize(
     "refs, read",
     [

@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 from graphcoh import enumeration
-from graphcoh.canonical import GraphClass, _act, _keys, _perm_tables, _skeleton_from_row, canonicalize
+from graphcoh.canonical import GraphClass, _act, _keys, _perm_tables, _rows_of, _skeletons, canonicalize
 from graphcoh.enumeration import (
     DEFAULT_CAP,
     _bulk_survivors,
@@ -25,7 +25,7 @@ from graphcoh.enumeration import (
     resolve_cap,
 )
 from graphcoh.errors import BasisTooLarge
-from graphcoh.graphs import GraphSkeleton, SymmetryMode, counts_for_grading, grading, k4_graph, theta_graph
+from graphcoh.graphs import EMPTY_GRAPH, GraphSkeleton, SymmetryMode, counts_for_grading, grading, k4_graph, theta_graph
 
 MODES = (SymmetryMode.LITERAL, SymmetryMode.EDGE_RENUMBERING)
 
@@ -236,12 +236,11 @@ def test_sweep_keeps_exactly_the_canonical_rows(monkeypatch, mode, vertices, edg
     survivors = _bulk_survivors(rows, mode, tables)
     assert len(acts) == math.factorial(vertices) - 1
     expected = set()
-    for row in rows:
-        skeleton = _skeleton_from_row(vertices, row, mode, tables.pairs)
+    for skeleton in _skeletons(vertices, rows, mode, tables.pairs):
         cls = canonicalize(skeleton, mode)
         if cls.skeleton == skeleton and not cls.is_zero:
             expected.add(skeleton)
-    got = {_skeleton_from_row(vertices, row, mode, tables.pairs) for row in survivors}
+    got = set(_skeletons(vertices, survivors, mode, tables.pairs))
     assert len(got) == len(survivors)
     assert got == expected
 
@@ -262,12 +261,11 @@ def test_sweep_keeps_exactly_the_canonical_rows_of_the_full_universe(mode, verti
     rows = _valence_filter(full_universe(vertices, edges, mode), vertices, mode, tables, False)
     survivors = _bulk_survivors(rows, mode, tables)
     expected = set()
-    for row in rows:
-        skeleton = _skeleton_from_row(vertices, row, mode, tables.pairs)
+    for skeleton in _skeletons(vertices, rows, mode, tables.pairs):
         cls = canonicalize(skeleton, mode)
         if cls.skeleton == skeleton and not cls.is_zero:
             expected.add(skeleton)
-    got = {_skeleton_from_row(vertices, row, mode, tables.pairs) for row in survivors}
+    got = set(_skeletons(vertices, survivors, mode, tables.pairs))
     assert len(got) == len(survivors)
     assert got == expected
 
@@ -327,6 +325,45 @@ def test_sweep_keeps_the_ascending_order_of_the_universe():
         assert (keys[:-1] < keys[1:]).all(), (mode, v, e)
         classes = enumerate_by_counts(v, e, mode=mode)
         assert classes == sorted(classes, key=GraphClass.sort_key), (mode, v, e)
+
+
+def decode_row(v, row, mode, pairs):
+    """One row's skeleton: its pair ids in order (LITERAL), or each pair
+    repeated by its multiplicity (otherwise)."""
+    if mode is SymmetryMode.LITERAL:
+        return GraphSkeleton(v, tuple(pairs[p] for p in row))
+    return GraphSkeleton(v, tuple(pair for pair, m in zip(pairs, row) for _ in range(m)))
+
+
+DECODED_CELLS = [(SymmetryMode.LITERAL, 4, 6, True), (SymmetryMode.LITERAL, 5, 6, False),
+                 (SymmetryMode.EDGE_RENUMBERING, 6, 9, False)]
+
+
+@pytest.mark.parametrize(
+    "mode, vertices, edges, trivalent", DECODED_CELLS, ids=[f"{m.value}-{v}-{e}" for m, v, e, _ in DECODED_CELLS]
+)
+def test_skeletons_decodes_each_survivor_as_its_row_says(mode, vertices, edges, trivalent):
+    """The batched decoder agrees with a row-by-row decode on every
+    survivor of a cell, and _rows_of encodes its skeletons back into the
+    rows, with no edge reversed."""
+    tables = _perm_tables(vertices)
+    rows = _bulk_survivors(
+        _valence_filter(_labeled_universe(vertices, edges, mode, tables), vertices, mode, tables, trivalent),
+        mode, tables)
+    assert len(rows)
+    skeletons = _skeletons(vertices, rows, mode, tables.pairs)
+    assert skeletons == [decode_row(vertices, row.tolist(), mode, tables.pairs) for row in rows]
+    encoded, reversals = _rows_of(skeletons, mode, tables)
+    assert encoded.tolist() == rows.tolist()
+    assert not reversals.any()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_skeletons_of_an_empty_stack_and_of_the_empty_graph(mode):
+    pairs = _perm_tables(4).pairs
+    width = 5 if mode is SymmetryMode.LITERAL else len(pairs)
+    assert _skeletons(4, np.zeros((0, width), np.uint8), mode, pairs) == []
+    assert _skeletons(0, np.zeros((1, 0), np.uint8), mode, _perm_tables(0).pairs) == [EMPTY_GRAPH]
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,14 @@ def test_parse_graph_errors_carry_line_numbers():
         parse_graph("V 2 E 1\n1 2\n1 2\n")
 
 
+@pytest.mark.parametrize("header", ["V 2 E -1", "V -1 E 0"])
+def test_parse_graphs_rejects_a_negative_count_in_the_header(header):
+    with pytest.raises(FormatError) as info:
+        parse_graphs(f"# one graph\n{header}\n1 2\n")
+    assert info.value.line_number == 2
+    assert str(info.value) == f"line 2: negative count in {header!r}"
+
+
 @given(skeletons())
 def test_format_parse_round_trip(g):
     assert parse_graph(format_graph(g)) == g

@@ -5,7 +5,8 @@ src/graphcoh/ and each script under scripts/, and fails on imported names
 that are never referenced (the package __init__, which re-exports, is
 exempt).  It also fails on module-level functions, classes and constants
 of src/graphcoh/ that nothing in src/, tests/ or scripts/ names outside
-their own definition (dunder names are exempt), on package names the
+their own definition (dunder names are exempt), on private (_-prefixed)
+ones that only tests name, on package names the
 benchmark's tracer wraps or reads that no longer exist, on calls to
 splitlines() outside errors.py, whose line reader every text format shares,
 and on third-party modules a test importorskips that the dev extra of
@@ -30,6 +31,7 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 SOURCES = sorted(
     p for d in ("src", "tests", "scripts") for p in (ROOT / d).rglob("*.py")
 )
+LIBRARY = [p for p in SOURCES if ROOT / "tests" not in p.parents]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -139,6 +141,27 @@ def test_unreferenced_definition_is_detected(tmp_path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_unreferenced_definitions(path):
     assert unreferenced_definitions(path, SOURCES) == []
+
+
+def private_definitions_unused(module: Path, library: list[Path]) -> list[str]:
+    """Private definitions in module that no statement of the library (src/
+    and scripts/, not tests/) names but their own."""
+    return [d for d in unreferenced_definitions(module, library) if d.startswith("_")]
+
+
+def test_private_definition_named_only_by_a_test_is_detected(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("def _helper():\n    pass\n\n\ndef _used():\n    pass\n\n\nRESULT = _used()\n")
+    test = tmp_path / "test_mod.py"
+    test.write_text("from mod import RESULT, _helper\n_helper()\nRESULT\n")
+    assert private_definitions_unused(module, [module]) == ["_helper (line 1)"]
+    assert unreferenced_definitions(module, [module, test]) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_private_definitions_are_named_outside_tests(path):
+    """Tests alone keep no private helper alive: the library must name it."""
+    assert private_definitions_unused(path, LIBRARY) == []
 
 
 def test_benchmark_tracer_hooks_resolve():

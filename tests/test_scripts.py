@@ -15,20 +15,47 @@ from graphcoh.tensors import Rad, eps_tensor, format_tensor, make_tensor, radica
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name, *argv):
+def script_env():
     source_root = str(Path(graphcoh.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (source_root, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def run_script(name, *argv):
     return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *argv],
         capture_output=True,
         text=True,
         check=False,
-        env=env,
+        env=script_env(),
         timeout=120,
     )
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [("dimension_table.py", ()), ("evaluate_trivalent.py", ("--order", "2"))],
+    ids=["dimension_table", "evaluate_trivalent"],
+)
+def test_script_ends_quietly_when_the_reader_closes_stdout(name, argv):
+    """A reader that stops after one line (`| head -1`) ends the output:
+    exit status 0 and nothing on stderr, not even at the final flush.
+    Unbuffered, every line is its own write, so the script meets the
+    closed pipe at its next line."""
+    proc = subprocess.Popen(
+        [sys.executable, str(SCRIPTS / name), *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**script_env(), "PYTHONUNBUFFERED": "1"},
+    )
+    with proc.stderr:
+        assert proc.stdout.readline().startswith(b"# ")
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stderr.read() == b""
 
 
 def test_evaluate_trivalent_order_one():
