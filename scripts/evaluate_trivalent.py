@@ -12,11 +12,9 @@ Example:
 from __future__ import annotations
 
 import argparse
-import os
-import sys
 from fractions import Fraction
 
-from graphcoh.cli import load_tensor, scalar_str
+from graphcoh.cli import load_tensor, run_front_end, scalar_str
 from graphcoh.decorated import (
     DecoratedChain,
     decorate_uniform,
@@ -24,16 +22,14 @@ from graphcoh.decorated import (
     is_cocycle_decorated,
 )
 from graphcoh.enumeration import enumerate_trivalent
-from graphcoh.errors import GraphCohError
 from graphcoh.graphs import SymmetryMode
 from graphcoh.tensors import CATALOGUE
 
 
 def run(args: argparse.Namespace) -> None:
     tensor = load_tensor(args.tensor)
-    mode = SymmetryMode.parse(args.mode)
-    classes = enumerate_trivalent(args.order, connected=not args.all_components, mode=mode)
-    print(f"# order {args.order} mode {mode.value} tensor {args.tensor} classes {len(classes)}")
+    classes = enumerate_trivalent(args.order, connected=not args.all_components, mode=args.mode)
+    print(f"# order {args.order} mode {args.mode.value} tensor {args.tensor} classes {len(classes)}")
     closed_count = 0
     for k, cls in enumerate(classes, start=1):
         dg = decorate_uniform(cls.skeleton, tensor)
@@ -59,15 +55,7 @@ def main(argv=None) -> int:
     parser.add_argument("--all-components", action="store_true",
                         help="include disconnected classes")
     parser.add_argument("--tol", type=float, default=None)
-    args = parser.parse_args(argv)
-    try:
-        run(args)
-    except BrokenPipeError:  # the reader closed stdout: the output ends here
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # and so does the final flush
-    except (GraphCohError, OSError, ValueError) as exc:
-        print(f"evaluate_trivalent: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    return run_front_end("evaluate_trivalent", run, parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ import argparse
 import functools
 import importlib.resources
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -122,8 +123,8 @@ def _graph_json(g: GraphSkeleton) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies.  Each reads the parsed arguments; main has already
-# turned --mode into a SymmetryMode.
+# Subcommand bodies.  Each reads the parsed arguments; run_front_end has
+# already turned --mode into a SymmetryMode.
 # ---------------------------------------------------------------------------
 
 
@@ -543,6 +544,28 @@ COMMANDS = {
 }
 
 
+def run_front_end(name: str, body: Callable[..., int | None], args: argparse.Namespace) -> int:
+    """Run body on parsed arguments: the one exit policy of `graphcoh` and the scripts.
+
+    A --mode that is set becomes a SymmetryMode; body's status (None is 0)
+    is returned.  A closed stdout ends the output with status 0, silently
+    at exit too; GraphCohError, OSError and ValueError end with the stderr
+    line `name: message` and status 1.
+    """
+    if getattr(args, "mode", None):
+        args.mode = SymmetryMode.parse(args.mode)
+    try:
+        status = body(args)
+        sys.stdout.flush()  # a buffered report meets a closed pipe here, not at exit
+    except BrokenPipeError:  # an OSError, so caught first
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    except (GraphCohError, OSError, ValueError) as exc:
+        print(f"{name}: {exc}", file=sys.stderr)
+        return 1
+    return status or 0
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -551,13 +574,7 @@ def main(argv=None) -> int:
             if getattr(args, dest) is not None and args.suite not in readers:
                 parser.exit(2, f"graphcoh check: {flag} is read only by the suites "
                                f"{', '.join(readers)}, not {args.suite}\n")
-    if getattr(args, "mode", None):
-        args.mode = SymmetryMode.parse(args.mode)
-    try:
-        return COMMANDS[args.command](args)
-    except (GraphCohError, OSError, ValueError) as exc:
-        print(f"graphcoh {args.command}: {exc}", file=sys.stderr)
-        return 1
+    return run_front_end(f"graphcoh {args.command}", COMMANDS[args.command], args)
 
 
 if __name__ == "__main__":

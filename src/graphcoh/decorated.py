@@ -316,7 +316,7 @@ def is_cocycle_decorated(c: DecoratedChain, tolerance: float | None = None) -> b
         if kind.is_exact:
             if any(_gram_norm(members, kind.radicand)):
                 return False
-        elif nonzero_mask(_outer_sum(members, kind), False, tolerance).any():
+        elif nonzero_mask(_outer_sum(members, kind), tolerance).any():
             return False
     return True
 

@@ -26,10 +26,13 @@ Spin = Fraction
 
 
 def as_spin(value) -> Spin:
-    j = Fraction(value)
-    if j < 0 or (2 * j).denominator != 1:
-        raise ValueError(f"spin must be a non-negative half-integer, got {value!r}")
-    return j
+    try:
+        j = Fraction(value)
+        if j >= 0 and (2 * j).denominator == 1:
+            return j
+    except ZeroDivisionError:  # a zero denominator names no spin
+        pass
+    raise ValueError(f"spin must be a non-negative half-integer, got {value!r}")
 
 
 @dataclass(frozen=True)

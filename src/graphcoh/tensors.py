@@ -5,8 +5,8 @@ Scalar kinds
 * ``rational``   — entries are ``Fraction``s.
 * ``radical d``  — entries are ``a + b*sqrt(d)`` with rational a, b and one
   declared non-square radicand d per tensor (class :class:`Rad`).
-* ``float``      — binary64, compared with an absolute tolerance (1e-12 by
-  default).
+* ``float``      — binary64, the only kind compared with a tolerance
+  (absolute, 1e-12 by default); exact kinds are always compared exactly.
 
 Combining kinds follows the obvious lattice: rational mixes with radical d
 to give radical d; distinct radicands or any float force float.  When a
@@ -241,16 +241,17 @@ def _scalar(x, kind: ScalarKind):
     return q if kind.name == "rational" else Rad(q, Fraction(rad or 0, den), kind.radicand)
 
 
-def nonzero_mask(arr: np.ndarray, exact: bool, tolerance: float | None = None) -> np.ndarray:
-    """Entries that are not zero: exactly, or beyond the tolerance (1e-12 by default)."""
-    if exact:
+def nonzero_mask(arr: np.ndarray, tolerance: float | None = None) -> np.ndarray:
+    """Entries that are not zero: exactly in an object array (exact numerators,
+    Fractions or Rads), else beyond the tolerance (1e-12 by default)."""
+    if arr.dtype == object:
         return arr != 0
     return np.abs(arr) > (FLOAT_TOLERANCE if tolerance is None else tolerance)
 
 
-def _first_nonzero(parts: list[np.ndarray], exact: bool, tolerance: float | None = None) -> tuple[int, ...] | None:
+def _first_nonzero(parts: list[np.ndarray], tolerance: float | None = None) -> tuple[int, ...] | None:
     """1-based multi-index of the first entry, row-major, where some part is nonzero, or None."""
-    hits = np.flatnonzero(functools.reduce(np.logical_or, (nonzero_mask(x, exact, tolerance) for x in parts)))
+    hits = np.flatnonzero(functools.reduce(np.logical_or, (nonzero_mask(x, tolerance) for x in parts)))
     if hits.size == 0:
         return None
     return tuple(int(i) + 1 for i in np.unravel_index(hits[0], parts[0].shape))
@@ -411,12 +412,11 @@ def check_equivariance(
 ) -> bool:
     """True iff the summed slot action of every generator annihilates t.
 
-    Exact when both the tensor and the generators are exact; otherwise
-    evaluated in complex binary64 against an absolute tolerance.
+    Exact, whatever the tolerance, when the tensor and the generators are
+    exact; otherwise evaluated in complex binary64 against the tolerance.
     """
     gens, gens_exact = _generator_arrays(generators, t.dim)
-    exact = t.kind.is_exact and gens_exact and tolerance is None
-    if exact:
+    if t.kind.is_exact and gens_exact:
         arr = t.array
         gens = [np.asarray(g, dtype=object) for g in gens]
     else:
@@ -424,7 +424,7 @@ def check_equivariance(
         gens = [np.asarray(g, dtype=complex) for g in gens]
     for g in gens:
         residual = sum(apply_generator(g, arr, s) for s in range(1, t.valence + 1))
-        if nonzero_mask(residual, exact, tolerance).any():
+        if nonzero_mask(residual, tolerance).any():
             return False
     return True
 
@@ -432,7 +432,7 @@ def check_equivariance(
 def _swap_defect(t: EquivariantTensor, k: int, l: int, sign: int, tolerance: float | None):
     """First index where swapping slots k, l fails to multiply t by sign, or None."""
     diff = [np.swapaxes(x, k - 1, l - 1) - sign * x for x in (t.num, t.rad) if x is not None]
-    return _first_nonzero(diff, t.kind.is_exact, tolerance)
+    return _first_nonzero(diff, tolerance)
 
 
 def symmetry_profile(t: EquivariantTensor, tolerance: float | None = None) -> dict[tuple[int, int], int | None]:
@@ -465,7 +465,7 @@ def jacobi_violation(f: EquivariantTensor, tolerance: float | None = None) -> tu
             raise NotAntisymmetric((k, l), witness)
     _, *t1 = _tensordot(_lift(f, f.kind), _lift(f, f.kind), ([2], [0]), f.kind.radicand)
     residual = [x - x.transpose(0, 2, 1, 3) + x.transpose(0, 2, 3, 1) for x in t1 if x is not None]
-    return _first_nonzero(residual, f.kind.is_exact, tolerance)
+    return _first_nonzero(residual, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -518,13 +518,11 @@ def format_tensor(t: EquivariantTensor) -> str:
 
 
 def parse_tensor(text: str, label: str = "t") -> EquivariantTensor:
-    header = None
-    entries: list[tuple[tuple[int, ...], object]] = []
-    valence = dim = None
-    kind = None
+    entries: dict[tuple[int, ...], object] = {}
+    valence = dim = kind = None
     for ln, line in _data_lines(text):
         parts = line.split()
-        if header is None:
+        if kind is None:
             if len(parts) < 6 or parts[0] != "valence" or parts[2] != "dim" or parts[4] != "kind":
                 raise FormatError(ln, f"expected 'valence v dim m kind ...', got {line!r}")
             try:
@@ -534,7 +532,6 @@ def parse_tensor(text: str, label: str = "t") -> EquivariantTensor:
                 raise FormatError(ln, str(exc)) from None
             if valence < 1 or dim < 1:
                 raise FormatError(ln, "valence and dim must be positive")
-            header = ln
             continue
         if len(parts) < valence + 1:
             raise FormatError(ln, f"expected {valence} indices and a value, got {line!r}")
@@ -544,20 +541,18 @@ def parse_tensor(text: str, label: str = "t") -> EquivariantTensor:
             raise FormatError(ln, f"bad index in {line!r}") from None
         if any(not (1 <= i <= dim) for i in idx):
             raise FormatError(ln, f"index out of range 1..{dim} in {line!r}")
+        if idx in entries:
+            raise FormatError(ln, f"duplicate entry at index {idx}")
         try:
-            value = parse_scalar(parts[valence:], kind)
+            entries[idx] = parse_scalar(parts[valence:], kind)
+        except ZeroDivisionError:
+            raise FormatError(ln, f"zero denominator in {line!r}") from None
         except ValueError as exc:
             raise FormatError(ln, str(exc)) from None
-        entries.append((idx, value))
-    if header is None:
+    if kind is None:
         raise FormatError(1, "missing tensor header")
-    seen = set()
-    for idx, _ in entries:
-        if idx in seen:
-            raise FormatError(header, f"duplicate entry at index {idx}")
-        seen.add(idx)
     arr = np.zeros((dim,) * valence, dtype=object)
-    for idx, value in entries:
+    for idx, value in entries.items():
         arr[tuple(i - 1 for i in idx)] = value
     return make_tensor(arr, kind, label)
 

@@ -17,6 +17,7 @@ from graphcoh.coboundary import Cochain, delta
 from graphcoh.graphs import SymmetryMode, format_graph, format_graphs, k4_graph, new_graph, theta_graph
 from graphcoh.tensors import eps_tensor, format_tensor
 from test_enumeration import dimension_table_sweep
+from test_scripts import run_with_stdout_closed
 
 THETA_TEXT = format_graph(theta_graph())
 
@@ -477,6 +478,34 @@ def test_validation_failures_exit_one(capsys, tmp_path):
         capsys, "eval", "--in", str(tmp_path / "absent.txt"), "--tensor", "eps"
     )
     assert rc == 1
+
+
+@pytest.mark.parametrize("value", ["1/0", "1/0 r 2"], ids=["rational", "radical"])
+def test_a_zero_denominator_in_a_tensor_file_is_one_error_line(capsys, tmp_path, value):
+    path = tmp_path / "zero.txt"
+    path.write_text(f"valence 2 dim 2 kind radical 2\n1 2 {value}\n")
+    rc, out, err = run_cli(capsys, "pairing", "--tensor", str(path), "--tensor", str(path))
+    assert (rc, out) == (1, "")
+    assert err == f"graphcoh pairing: line 2: zero denominator in '1 2 {value}'\n"
+
+
+def test_a_zero_denominator_spin_is_one_error_line(capsys):
+    rc, out, err = run_cli(capsys, "mult", "--spins", "1/0")
+    assert (rc, out) == (1, "")
+    assert err == "graphcoh mult: spin must be a non-negative half-integer, got '1/0'\n"
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--suite", "ihx"], ["enumerate", "--order", "1", "--degree", "0"]],
+    ids=["check", "enumerate"],
+)
+def test_graphcoh_ends_quietly_when_the_reader_has_closed_stdout(argv, buffered):
+    """The reader has gone before the first write: exit status 0 and an
+    empty stderr.  Buffered, the closed pipe shows only at the flush of
+    the whole report."""
+    assert run_with_stdout_closed(["-m", "graphcoh", *argv], buffered) == (0, b"")
 
 
 def test_usage_errors_exit_two(capsys):

@@ -9,8 +9,9 @@ their own definition (dunder names are exempt), on private (_-prefixed)
 ones that only tests name, on package names the
 benchmark's tracer wraps or reads that no longer exist, on calls to
 splitlines() outside errors.py, whose line reader every text format shares,
-and on third-party modules a test importorskips that the dev extra of
-pyproject.toml does not list.
+on third-party modules a test importorskips that the dev extra of
+pyproject.toml does not list, and on front-end code other than the shared
+runner that decides how a run ends.
 """
 
 from __future__ import annotations
@@ -212,3 +213,37 @@ def test_dev_extra_lists_every_module_a_test_skips_without():
     skipped = set().union(*(importorskip_modules(p.read_text()) for p in (ROOT / "tests").glob("*.py")))
     assert "sympy" in skipped
     assert sorted(skipped - listed - set(sys.stdlib_module_names)) == []
+
+
+EXIT_POLICY_ERRORS = {"GraphCohError", "OSError", "BrokenPipeError"}
+
+
+def exit_policy_handlers(source: str) -> list[tuple[str, int]]:
+    """(top-level definition, line) of each except clause in source that
+    names an error of the exit policy, bare or as a module attribute."""
+    out = []
+    for statement in ast.parse(source).body:
+        owner = getattr(statement, "name", "<module>")
+        for n in ast.walk(statement):
+            if isinstance(n, ast.ExceptHandler) and n.type is not None:
+                named = {getattr(x, "id", None) or getattr(x, "attr", None) for x in ast.walk(n.type)}
+                if named & EXIT_POLICY_ERRORS:
+                    out.append((owner, n.lineno))
+    return out
+
+
+def test_exit_policy_handler_is_detected():
+    source = (
+        "def run():\n    try:\n        pass\n    except (ValueError, errors.GraphCohError):\n"
+        "        pass\n\n\ndef ok():\n    try:\n        pass\n    except KeyError:\n        pass\n\n\n"
+        "try:\n    import x\nexcept OSError:\n    pass\n"
+    )
+    assert exit_policy_handlers(source) == [("run", 4), ("<module>", 17)]
+
+
+def test_only_the_shared_runner_decides_how_a_front_end_ends():
+    """In cli.py and the scripts, only cli.run_front_end catches the errors
+    that end a run, so every front end ends the same way."""
+    found = {p.name: exit_policy_handlers(p.read_text()) for p in [PACKAGE / "cli.py", *SCRIPTS]}
+    owners = {name: {owner for owner, _ in handlers} for name, handlers in found.items()}
+    assert owners == {"cli.py": {"run_front_end"}, **{p.name: set() for p in SCRIPTS}}

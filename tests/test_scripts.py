@@ -24,6 +24,21 @@ def script_env():
     return env
 
 
+def run_with_stdout_closed(argv, buffered):
+    """Exit status and stderr of `python argv` when the reader of its stdout
+    has gone before the first write."""
+    env = script_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    proc.stdout.close()
+    with proc.stderr:
+        return proc.wait(timeout=120), proc.stderr.read()
+
+
 def run_script(name, *argv):
     return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *argv],
@@ -56,6 +71,18 @@ def test_script_ends_quietly_when_the_reader_closes_stdout(name, argv):
         proc.stdout.close()
         assert proc.wait(timeout=120) == 0
         assert proc.stderr.read() == b""
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [("dimension_table.py", ()), ("evaluate_trivalent.py", ("--order", "1"))],
+    ids=["dimension_table", "evaluate_trivalent"],
+)
+def test_script_ends_quietly_when_a_buffered_report_meets_a_closed_pipe(name, argv):
+    """Buffered, a short report reaches the pipe only when stdout is
+    flushed; a reader that has already gone still means exit status 0 and
+    an empty stderr."""
+    assert run_with_stdout_closed([str(SCRIPTS / name), *argv], buffered=True) == (0, b"")
 
 
 def test_evaluate_trivalent_order_one():

@@ -293,6 +293,17 @@ def test_equivariance_shape_mismatch():
         check_equivariance(eps_tensor(), [np.eye(4)])
 
 
+def test_exact_equivariance_ignores_a_tolerance():
+    """An exact tensor under exact generators gets an exact verdict: a
+    tolerance is for float data and cannot pass a defect of 1e-15."""
+    values = np.array(eps_tensor().array)
+    values[0, 0, 0] = Fraction(1, 10**15)
+    t = make_tensor(values)
+    assert not check_equivariance(t, so3_generators())
+    assert not check_equivariance(t, so3_generators(), tolerance=1e-9)
+    assert symmetry_profile(t, tolerance=1e-9) == {(1, 2): None, (1, 3): None, (2, 3): None}
+
+
 # ---------------------------------------------------------------------------
 # Symmetry profiles.
 # ---------------------------------------------------------------------------
@@ -414,6 +425,23 @@ def test_tensor_round_trip_radical():
 def test_tensor_round_trip_float():
     t = make_tensor([[0.5, -1.25], [0.0, 3.0]])
     assert parse_tensor(format_tensor(t), label="t") == t
+
+
+def test_parse_tensor_names_the_line_of_a_duplicate_entry():
+    text = "# c\nvalence 2 dim 2 kind rational\n1 2 1\n\n1 1 3\n1 2 1\n"
+    with pytest.raises(FormatError, match=r"^line 6: duplicate entry at index \(1, 2\)$"):
+        parse_tensor(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["valence 2 dim 2 kind rational\n1 2 1/0\n", "valence 2 dim 2 kind radical 2\n1 2 1/0 r 2\n"],
+    ids=["rational", "radical"],
+)
+def test_parse_tensor_refuses_a_zero_denominator_on_its_line(text):
+    value = text.splitlines()[1]
+    with pytest.raises(FormatError, match=f"^line 2: zero denominator in '{value}'$"):
+        parse_tensor(text)
 
 
 def test_parse_tensor_errors_carry_line_numbers():
