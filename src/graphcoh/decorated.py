@@ -100,13 +100,13 @@ class DecoratedGraph:
         dims = {t.dim for t in decs}
         if len(dims) > 1:
             raise ShapeMismatch(f"decorations mix dimensions {sorted(dims)}")
-        _common_kind(t.kind for t in decs)
+        self.kind  # resolved once here; MixedScalarKinds for exact kinds mixed into float
 
     @property
     def dim(self) -> int:
         return self.decorations[0].dim if self.decorations else 0
 
-    @property
+    @functools.cached_property
     def kind(self) -> ScalarKind:
         return _common_kind(t.kind for t in self.decorations)
 

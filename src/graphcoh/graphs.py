@@ -63,19 +63,16 @@ class GraphSkeleton:
         v = self.vertex_count
         if v < 0:
             raise VertexOutOfRange(0, v, v)
-        touched = [False] * (v + 1)
         for k, (t, h) in enumerate(self.edges, start=1):
             for end in (t, h):
                 if not (1 <= end <= v):
                     raise VertexOutOfRange(k, end, v)
             if t == h:
                 raise LoopEdge(k, t)
-            touched[t] = True
-            touched[h] = True
-        if v > 0:
-            for u in range(1, v + 1):
-                if not touched[u]:
-                    raise IsolatedVertex(u)
+        # every end lies in 1..v, so the least untouched vertex is at most len(touched) + 1
+        touched = set().union(*self.edges)
+        if len(touched) < v:
+            raise IsolatedVertex(next(u for u in range(1, v + 1) if u not in touched))
         object.__setattr__(self, "_hash", hash((v, self.edges)))
 
     def __hash__(self) -> int:

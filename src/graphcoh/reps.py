@@ -30,7 +30,7 @@ def as_spin(value) -> Spin:
         j = Fraction(value)
         if j >= 0 and (2 * j).denominator == 1:
             return j
-    except ZeroDivisionError:  # a zero denominator names no spin
+    except (ValueError, ZeroDivisionError, OverflowError):  # not a finite number: no spin
         pass
     raise ValueError(f"spin must be a non-negative half-integer, got {value!r}")
 

@@ -12,7 +12,10 @@ Combining kinds follows the obvious lattice: rational mixes with radical d
 to give radical d; distinct radicands or any float force float.  When a
 caller demands an exact verdict but the kinds force float, that is an
 error (:class:`~graphcoh.errors.MixedScalarKinds`), raised by the
-consumers of :func:`unify_kinds`.
+consumers of :func:`unify_kinds`.  A tensor built from bare entries
+(:func:`make_tensor`) is float if any entry is a float, wherever it sits;
+otherwise radical d for its first entry with a sqrt(d) part; otherwise
+rational.  Two radicands without a float are refused.
 
 A tensor is stored as ``(num + rad*sqrt(d)) / den``: ``num`` and ``rad``
 are object arrays of Python ints (no overflow) over one positive common
@@ -202,7 +205,7 @@ def _store(arr, kind: ScalarKind) -> tuple[int, np.ndarray, np.ndarray | None]:
     values, d = arr.ravel().tolist(), kind.radicand
     for x in values:
         if d and isinstance(x, Rad) and x.b != 0 and x.d != d:
-            raise ValueError(f"entry radicand {x.d} does not match declared {d}")
+            raise ValueError(f"entries mix radicands {d} and {x.d}; declare kind float instead")
     parts = [(x.a, x.b) if d and isinstance(x, Rad) else (Fraction(x), 0) for x in values]
     den = math.lcm(*(q.denominator for pair in parts for q in pair))
     num, rad = (
@@ -331,21 +334,19 @@ class EquivariantTensor:
 
 
 def _infer_kind(values) -> ScalarKind:
-    kind = RATIONAL
-    for x in values:
-        if isinstance(x, float):
-            return FLOAT
-        if isinstance(x, Rad):
-            k = radical(x.d)
-            if kind.name == "radical" and kind.radicand != k.radicand and x.b != 0:
-                raise ValueError("entries mix different radicands; declare kind float instead")
-            if x.b != 0:
-                kind = k
-    return kind
+    """The kind of bare entries, by the rule in make_tensor; _store refuses a second radicand."""
+    if any(isinstance(x, float) for x in values):
+        return FLOAT
+    return next((radical(x.d) for x in values if isinstance(x, Rad) and x.b != 0), RATIONAL)
 
 
 def make_tensor(values, kind: ScalarKind | None = None, label: str = "t") -> EquivariantTensor:
-    """Build a tensor from nested sequences (or an ndarray), inferring the kind."""
+    """Build a tensor from nested sequences (or an ndarray).
+
+    Without a kind it is inferred: float if any entry is a float, wherever
+    it sits; otherwise radical d for the first entry with a sqrt(d) part;
+    otherwise rational.  A second radicand without a float is a ValueError.
+    """
     arr = np.asarray(values, dtype=object)
     if kind is None:
         kind = _infer_kind(arr.ravel())
@@ -382,29 +383,6 @@ def direct_sum(t1: EquivariantTensor, t2: EquivariantTensor, label: str | None =
     return make_tensor(arr, unify_kinds([t1.kind, t2.kind]), label or f"{t1.label}+{t2.label}")
 
 
-def apply_generator(generator: np.ndarray, array: np.ndarray, slot: int) -> np.ndarray:
-    """Act on one slot (1-based): out[..., i, ...] = sum_a G[i, a] t[..., a, ...]."""
-    moved = np.tensordot(generator, array, axes=([1], [slot - 1]))
-    return np.moveaxis(moved, 0, slot - 1)
-
-
-def _generator_arrays(generators, dim: int):
-    out = []
-    all_exact = True
-    for g in generators:
-        arr = np.asarray(g)
-        if arr.shape != (dim, dim):
-            raise ShapeMismatch(f"generator must be {dim}x{dim}, got {arr.shape}")
-        if arr.dtype == object:
-            flat = list(arr.ravel())
-            if any(isinstance(x, (float, complex)) for x in flat):
-                all_exact = False
-        elif not np.issubdtype(arr.dtype, np.integer):
-            all_exact = False
-        out.append(arr)
-    return out, all_exact
-
-
 def check_equivariance(
     t: EquivariantTensor,
     generators: Sequence,
@@ -412,18 +390,21 @@ def check_equivariance(
 ) -> bool:
     """True iff the summed slot action of every generator annihilates t.
 
-    Exact, whatever the tolerance, when the tensor and the generators are
-    exact; otherwise evaluated in complex binary64 against the tolerance.
+    Exact, whatever the tolerance, when the tensor's kind is exact and no
+    generator entry is a float or complex; otherwise evaluated in complex
+    binary64 against the tolerance.
     """
-    gens, gens_exact = _generator_arrays(generators, t.dim)
-    if t.kind.is_exact and gens_exact:
-        arr = t.array
-        gens = [np.asarray(g, dtype=object) for g in gens]
-    else:
-        arr = _lift(t, FLOAT)[1]
-        gens = [np.asarray(g, dtype=complex) for g in gens]
+    gens = [np.asarray(g) for g in generators]
     for g in gens:
-        residual = sum(apply_generator(g, arr, s) for s in range(1, t.valence + 1))
+        if g.shape != (t.dim, t.dim):
+            raise ShapeMismatch(f"generator must be {t.dim}x{t.dim}, got {g.shape}")
+    exact = t.kind.is_exact and not any(
+        isinstance(x, (float, complex)) for g in gens for x in g.ravel().tolist()
+    )
+    arr, dtype = (t.array, object) if exact else (_lift(t, FLOAT)[1], complex)
+    for g in gens:
+        g = g.astype(dtype)
+        residual = sum(np.moveaxis(np.tensordot(g, arr, ([1], [s])), 0, s) for s in range(t.valence))
         if nonzero_mask(residual, tolerance).any():
             return False
     return True
@@ -463,7 +444,8 @@ def jacobi_violation(f: EquivariantTensor, tolerance: float | None = None) -> tu
         witness = _swap_defect(f, k, l, -1, tolerance)
         if witness is not None:
             raise NotAntisymmetric((k, l), witness)
-    _, *t1 = _tensordot(_lift(f, f.kind), _lift(f, f.kind), ([2], [0]), f.kind.radicand)
+    triple = (f.den, f.num, f.rad)
+    _, *t1 = _tensordot(triple, triple, ([2], [0]), f.kind.radicand)
     residual = [x - x.transpose(0, 2, 1, 3) + x.transpose(0, 2, 3, 1) for x in t1 if x is not None]
     return _first_nonzero(residual, tolerance)
 

@@ -489,10 +489,12 @@ def test_a_zero_denominator_in_a_tensor_file_is_one_error_line(capsys, tmp_path,
     assert err == f"graphcoh pairing: line 2: zero denominator in '1 2 {value}'\n"
 
 
-def test_a_zero_denominator_spin_is_one_error_line(capsys):
-    rc, out, err = run_cli(capsys, "mult", "--spins", "1/0")
+@pytest.mark.parametrize("spin", ["1/0", "nan", "x"])
+def test_a_zero_denominator_spin_is_one_error_line(capsys, spin):
+    """A zero denominator or a non-number gets the spin message, not Fraction's."""
+    rc, out, err = run_cli(capsys, "mult", "--spins", spin)
     assert (rc, out) == (1, "")
-    assert err == "graphcoh mult: spin must be a non-negative half-integer, got '1/0'\n"
+    assert err == f"graphcoh mult: spin must be a non-negative half-integer, got {spin!r}\n"
 
 
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])

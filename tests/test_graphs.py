@@ -1,5 +1,7 @@
 """Skeleton model: validation, grading, helpers, and the text format."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -82,6 +84,9 @@ def test_vertex_out_of_range_rejected():
 def test_isolated_vertex_rejected():
     with pytest.raises(IsolatedVertex):
         new_graph(3, [(1, 2)])
+    with pytest.raises(IsolatedVertex) as info:
+        new_graph(5, [(1, 2), (5, 1)])
+    assert info.value.vertex == 3
 
 
 def test_empty_graph_is_the_unit():
@@ -273,6 +278,20 @@ def test_parse_graphs_rejects_a_negative_count_in_the_header(header):
         parse_graphs(f"# one graph\n{header}\n1 2\n")
     assert info.value.line_number == 2
     assert str(info.value) == f"line 2: negative count in {header!r}"
+
+
+def test_a_large_vertex_count_is_refused_without_a_flag_per_vertex():
+    """Validation reads the touched vertices off the edge ends: a header
+    naming a million vertices allocates nothing in proportion to it."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(IsolatedVertex) as info:
+            parse_graphs("V 1000000 E 1\n1 2\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.vertex == 3
+    assert peak < 1_000_000
 
 
 @given(skeletons())

@@ -40,6 +40,9 @@ def test_as_spin_rejects_junk():
         as_spin(Fraction(1, 3))
     with pytest.raises(ValueError):
         as_spin(-1)
+    for x in ("x", float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="spin must be a non-negative half-integer"):
+            as_spin(x)
 
 
 def test_spin_rep_dimension():

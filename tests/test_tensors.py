@@ -122,6 +122,19 @@ def test_make_tensor_infers_kind():
     assert r.kind == radical(5)
 
 
+R5, R7 = Rad(0, 1, 5), Rad(0, 1, 7)
+
+
+@pytest.mark.parametrize("values", [[R5, R7, 0.5], [0.5, R5, R7]], ids=["float-last", "float-first"])
+def test_a_float_entry_makes_a_float_tensor_wherever_it_sits(values):
+    assert make_tensor(values).kind == FLOAT
+
+
+def test_two_radicands_without_a_float_are_refused():
+    with pytest.raises(ValueError, match="radicands 5 and 7; declare kind float instead"):
+        make_tensor([R5, R7])
+
+
 def test_tensor_arrays_are_frozen():
     t = make_tensor([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
@@ -293,15 +306,33 @@ def test_equivariance_shape_mismatch():
         check_equivariance(eps_tensor(), [np.eye(4)])
 
 
+def eps_with_defect() -> EquivariantTensor:
+    """eps with entry (1, 1, 1) set to 1e-15."""
+    values = np.array(eps_tensor().array)
+    values[0, 0, 0] = Fraction(1, 10**15)
+    return make_tensor(values)
+
+
 def test_exact_equivariance_ignores_a_tolerance():
     """An exact tensor under exact generators gets an exact verdict: a
     tolerance is for float data and cannot pass a defect of 1e-15."""
-    values = np.array(eps_tensor().array)
-    values[0, 0, 0] = Fraction(1, 10**15)
-    t = make_tensor(values)
+    t = eps_with_defect()
     assert not check_equivariance(t, so3_generators())
     assert not check_equivariance(t, so3_generators(), tolerance=1e-9)
     assert symmetry_profile(t, tolerance=1e-9) == {(1, 2): None, (1, 3): None, (2, 3): None}
+
+
+def test_integer_dtype_generators_give_the_exact_verdict():
+    gens = [g.astype(np.int64) for g in so3_generators()]
+    assert check_equivariance(eps_tensor(), gens)
+    assert not check_equivariance(eps_with_defect(), gens, tolerance=1e-9)
+
+
+def test_float_dtype_generators_take_the_float_path():
+    """Float generators force binary64, where the tolerance passes the defect."""
+    gens = [g.astype(np.float64) for g in so3_generators()]
+    assert check_equivariance(eps_tensor(), gens)
+    assert check_equivariance(eps_with_defect(), gens, tolerance=1e-9)
 
 
 # ---------------------------------------------------------------------------
