@@ -17,12 +17,13 @@ are forced once the vertex permutation is fixed, so the group acts on rows:
 pair ids in edge order (LITERAL), or pair multiplicity vectors, where the
 greatest vector gives the least flattened edge list.  _act and _signs are
 that action and its sign, in three patterns: self_symmetries moves one row
-by every permutation, enumeration every row of a cell by one permutation
-at a time, and canonical_rows many rows by every permutation, in chunks
-under a fixed byte budget.  Rows compare as big-endian byte keys exactly
-as wide as their entries (_keys), so one argmin (argmax) picks each
-canonical row; canonicalize is canonical_rows on one row.  _skeletons
-decodes a stack of rows of either format back into skeletons.
+by every permutation, enumeration the live rows of a cell by a block of
+permutations at a time, in sweep order, and canonical_rows many rows by
+every permutation, in chunks under a fixed byte budget.  Rows compare as
+big-endian byte keys exactly as wide as their entries (_keys), so one
+argmin (argmax) picks each canonical row; canonicalize is canonical_rows
+on one row.  _skeletons decodes a stack of rows of either format back
+into skeletons.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .graphs import GraphSkeleton, SymmetryMode, grading
 
 _LARGE_FACTORIAL_GUARD = 8  # exhaustive search is meant for V <= 8
 _CHUNK_BYTES = 1 << 20  # canonical_rows moves about this many bytes of rows at a time
+_BLOCK_BYTES = 1 << 16  # enumeration's sweep moves about this many bytes of rows a round
 _MODES = tuple(SymmetryMode)
 
 
@@ -83,7 +85,7 @@ class GraphClass:
 class _PermTables:
     """Per-V tables describing how vertex permutations act on vertex pairs."""
 
-    __slots__ = ("perms", "parity", "pairs", "pair_index", "pair_map", "pair_flip", "pair_map_inv")
+    __slots__ = ("perms", "parity", "pairs", "pair_index", "pair_map", "pair_flip", "pair_map_inv", "sweep")
 
     def __init__(self, v: int):
         perm_list = list(itertools.permutations(range(1, v + 1)))
@@ -107,6 +109,9 @@ class _PermTables:
         rows = np.arange(len(perm_list))[:, None]
         pair_map_inv[rows, self.pair_map] = np.arange(p, dtype=np.uint8)[None, :]
         self.pair_map_inv = pair_map_inv
+        # enumeration's order: the non-identity permutations by how many points they move, stably
+        moved_points = (images != np.arange(1, v + 1)).sum(axis=1)
+        self.sweep = np.argsort(moved_points, kind="stable")[1:]
 
 
 @functools.lru_cache(maxsize=None)
@@ -140,11 +145,12 @@ def _skeletons(v: int, rows: np.ndarray, mode: SymmetryMode, pairs) -> list[Grap
 
 
 def _act(tables: _PermTables, mode: SymmetryMode, rows: np.ndarray, g) -> np.ndarray:
-    """Rows moved by vertex permutation g: one index, or slice(None) for all.
+    """Rows moved by the vertex permutations g: an index array, or
+    slice(None) for all.
 
-    Many rows meet one permutation, one row meets every permutation, or
-    many rows meet every permutation; the result has one moved row per
-    (row, permutation), rows first.
+    One row meets every permutation, or a stack of rows meets a block of
+    permutations or every one; the result has one moved row per (row,
+    permutation), rows first.
     """
     if mode is SymmetryMode.LITERAL:
         moved = tables.pair_map[g][..., rows]

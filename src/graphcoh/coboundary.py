@@ -22,12 +22,18 @@ and decodes each distinct image row once.  delta of a cochain sums integer
 numerators over the lcm of its denominators; delta_matrix finds each
 image's row in one dict over the codomain classes.
 
-Ranks and kernels are computed over exact rationals by one sparse
-Gauss-Jordan pass over the matrix's own (row, col) entries: columns are
-eliminated left to right, each pivot is the sparsest unused row holding
-its column, and the kernel basis is read off the free columns as sparse
-vectors.  The reduced row echelon form is unique, so the pivot rule only
-affects fill-in; everything is deterministic for fixed bases.
+Ranks and kernels are computed over exact rationals from the matrix's
+own (row, col) entries in two phases.  Forward elimination
+(_forward_eliminate) takes columns left to right, each pivot the
+sparsest unused row holding its column, and clears each column from the
+unused rows only; the rank is its number of pivots, and a DeltaMatrix
+runs it once.  Back substitution (_back_substitute) turns that echelon
+form into the reduced row echelon form, from which the kernel basis is
+read off the free columns as sparse vectors; only kernel() and rref pay
+for it.  The unused rows get the same updates as under one Gauss-Jordan
+pass, so the pivots are the same, and the reduced form is unique, so the
+pivot rule only affects fill-in; everything is deterministic for fixed
+bases.
 """
 
 from __future__ import annotations
@@ -296,16 +302,16 @@ class DeltaMatrix:
         return (len(self.codomain), len(self.domain))
 
     @functools.cached_property
-    def _reduced(self) -> dict[int, dict[int, Fraction]]:
-        """The reduced row echelon form, computed once; entries must not change after."""
-        return rref(len(self.domain), self.entries)
+    def _echelon(self) -> dict[int, dict[int, Fraction]]:
+        """The row echelon form, computed once; entries must not change after."""
+        return _forward_eliminate(len(self.domain), self.entries)
 
     def rank(self) -> int:
-        return len(self._reduced)
+        return len(self._echelon)
 
     def kernel(self) -> list[dict[int, Fraction]]:
         """Sparse kernel vectors {domain index: coefficient}, one per free column."""
-        return kernel_basis(len(self.domain), self._reduced)
+        return kernel_basis(len(self.domain), _back_substitute(self._echelon))
 
 
 def delta_matrix(
@@ -335,47 +341,92 @@ def delta_matrix(
 # ---------------------------------------------------------------------------
 
 
+def _forward_eliminate(
+    ncols: int, entries: Mapping[tuple[int, int], Fraction | int]
+) -> dict[int, dict[int, Fraction]]:
+    """Sparse row echelon form of (row, col) entries: {pivot column: row}.
+
+    Rows are {column: Fraction} dicts, whatever rationals the entries are.
+    Columns are eliminated left to right; the pivot of a column is the
+    sparsest unused row holding it, ties broken by row index, and the
+    column is cleared from the unused rows only.  A pivot row keeps its
+    scale and holds no column left of its pivot.  The result is keyed in
+    ascending pivot order; its length is the rank.
+    """
+    rows: dict[int, dict[int, Fraction]] = {}
+    holders: dict[int, set[int]] = {}  # the unused rows holding each column
+    for (r, c), v in entries.items():
+        if v:
+            rows.setdefault(r, {})[c] = Fraction(v)
+            holders.setdefault(c, set()).add(r)
+    echelon: dict[int, dict[int, Fraction]] = {}
+    for c in range(ncols):
+        free = holders.pop(c, None)
+        if not free:
+            continue
+        p = min(free, key=lambda r: (len(rows[r]), r))
+        prow = echelon[c] = rows.pop(p)
+        holders[c] = set()  # column c is done; this takes the discards of c below
+        for k in prow:
+            holders[k].discard(p)
+        pv = prow[c]
+        for r in free:
+            if r == p:
+                continue
+            row = rows[r]
+            g = -row[c] / pv
+            for k, v in prow.items():
+                x = row.get(k)
+                if x is None:  # fill-in: a later column, still in holders
+                    row[k] = g * v
+                    holders[k].add(r)
+                else:
+                    x += g * v
+                    if x:
+                        row[k] = x
+                    else:
+                        del row[k]
+                        holders[k].discard(r)
+    return echelon
+
+
+def _back_substitute(echelon: Mapping[int, Mapping[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """The reduced row echelon form from _forward_eliminate's output, which
+    is left as it is.  Last pivot first, each echelon row is scaled to 1
+    and cleared of the later pivot columns it holds by their reduced rows,
+    which hold no other pivot column, so no clearing brings one in."""
+    reduced: dict[int, dict[int, Fraction]] = {}
+    for c in reversed(echelon):
+        pv = echelon[c][c]
+        row = dict(echelon[c]) if pv == 1 else {k: v / pv for k, v in echelon[c].items()}
+        for j in [j for j in row if j in reduced]:  # the later pivots it holds
+            g = -row[j]
+            for k, v in reduced[j].items():
+                x = row.get(k)
+                if x is None:
+                    row[k] = g * v
+                else:
+                    x += g * v
+                    if x:
+                        row[k] = x
+                    else:
+                        del row[k]
+        reduced[c] = row
+    return dict(reversed(reduced.items()))
+
+
 def rref(
     ncols: int, entries: Mapping[tuple[int, int], Fraction | int]
 ) -> dict[int, dict[int, Fraction]]:
     """Sparse reduced row echelon form of (row, col) entries: {pivot column: row}.
 
     Rows are {column: Fraction} dicts, whatever rationals the entries are.
-    Columns are eliminated left to right; the pivot of a column is the
-    sparsest unused row holding it, ties broken by row index.  The pivot
-    row is scaled to 1 and the column is cleared from every other row,
-    pivot rows included.  The result is keyed in ascending pivot order.
+    Forward elimination (_forward_eliminate) picks the pivots; back
+    substitution (_back_substitute) scales each pivot row to 1 and clears
+    its column from the pivot rows above.  The result is keyed in
+    ascending pivot order.
     """
-    rows: dict[int, dict[int, Fraction]] = {}
-    holders: dict[int, set[int]] = {}
-    for (r, c), v in entries.items():
-        if v:
-            rows.setdefault(r, {})[c] = Fraction(v)
-            holders.setdefault(c, set()).add(r)
-    reduced: dict[int, dict[int, Fraction]] = {}
-    used: set[int] = set()
-    for c in range(ncols):
-        free = [r for r in holders.get(c, ()) if r not in used]
-        if not free:
-            continue
-        p = min(free, key=lambda r: (len(rows[r]), r))
-        prow = rows[p]
-        pv = prow[c]
-        if pv != 1:
-            prow = rows[p] = {k: v / pv for k, v in prow.items()}
-        for r in [r for r in holders[c] if r != p]:
-            row, f = rows[r], rows[r][c]
-            for k, v in prow.items():
-                x = row.get(k, 0) - f * v
-                if x:
-                    row[k] = x
-                    holders[k].add(r)  # p holds every k in prow
-                else:
-                    del row[k]
-                    holders[k].discard(r)
-        used.add(p)
-        reduced[c] = prow
-    return reduced
+    return _back_substitute(_forward_eliminate(ncols, entries))
 
 
 def kernel_basis(

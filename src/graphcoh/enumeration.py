@@ -12,19 +12,23 @@ sequences whose first pair is (1, 2) in LITERAL mode (1/p of the universe
 over p pairs), the vectors whose greatest multiplicity is on (1, 2)
 otherwise.
 
-One vectorized sweep serves every cell: the live rows meet one vertex
-permutation at a time, each permuted row compared with its original by
-their byte keys (canonical._keys).  Before the next permutation the
-sweep drops the rows it beats and the rows it fixes with sign -1, whose
-classes are zero.  A row's verdict depends only on its own images, so
-dropping other rows early changes nothing.  Permutations come in order of
-how many points they move, transpositions first, since the cheapest moves
-kill most rows.  Rows that survive every permutation are the canonical
-nonzero ones.  The slice is built in ascending row order and only masked
-after, so one canonical._skeletons call decodes them in sorted order: in
-row order in LITERAL mode, reversed otherwise (the greatest multiplicity
-vector is the least edge list).  The connected filter reads the skeletons,
-so a GraphClass is built only for a class that is returned.
+One vectorized sweep serves every cell: the live rows meet a block of
+vertex permutations at a time, each permuted row compared with its
+original by their byte keys (canonical._keys).  Before the next block the
+sweep drops the rows some permutation of the block beats and the rows one
+fixes with sign -1, whose classes are zero; signs are computed only for
+the rows a permutation of the block fixes.  A row's verdict depends only
+on its own images, so dropping other rows early, and the grouping into
+blocks, change nothing.  Permutations come in order of how many points
+they move, transpositions first (canonical._PermTables.sweep), since the
+cheapest moves kill most rows.  Each block moves about _BLOCK_BYTES of
+rows, so blocks grow as rows die, and the sweep ends once no row is live.
+Rows that survive every permutation are the canonical nonzero ones.  The
+slice is built in ascending row order and only masked after, so one
+canonical._skeletons call decodes them in sorted order: in row order in
+LITERAL mode, reversed otherwise (the greatest multiplicity vector is the
+least edge list).  The connected filter reads the skeletons, so a
+GraphClass is built only for a class that is returned.
 
 Enumeration refuses to start when the full labeled universe, not its
 slice, would exceed a multiple of the configured class cap, or when V > 8
@@ -38,7 +42,16 @@ import math
 
 import numpy as np
 
-from .canonical import _LARGE_FACTORIAL_GUARD, GraphClass, _act, _keys, _perm_tables, _signs, _skeletons
+from .canonical import (
+    _BLOCK_BYTES,
+    _LARGE_FACTORIAL_GUARD,
+    GraphClass,
+    _act,
+    _keys,
+    _perm_tables,
+    _signs,
+    _skeletons,
+)
 from .errors import BasisTooLarge
 from .graphs import SymmetryMode, counts_for_grading, is_connected
 
@@ -127,20 +140,21 @@ def _valence_filter(arr: np.ndarray, v: int, mode: SymmetryMode, tables, trivale
 def _bulk_survivors(arr: np.ndarray, mode: SymmetryMode, tables) -> np.ndarray:
     """The canonical nonzero rows of the labeled universe, in arr's order.
 
-    A row is dropped at the first permutation that moves it to a more
-    canonical row (see canonical.canonical_rows: lexicographically least
-    in LITERAL mode, greatest otherwise) or fixes it with sign -1.
+    A row is dropped at the first block of permutations (tables.sweep, in
+    order, about _BLOCK_BYTES of moved rows a block) holding one that moves
+    it to a more canonical row (see canonical.canonical_rows: lexicographically
+    least in LITERAL mode, greatest otherwise) or fixes it with sign -1.
     """
-    literal = mode is SymmetryMode.LITERAL
-    images = np.array(tables.perms)
-    moved_points = (images != np.arange(1, images.shape[1] + 1)).sum(axis=1)
-    live = arr
-    for g in np.argsort(moved_points, kind="stable")[1:]:  # [0] is the identity
-        row, image = _keys(live), _keys(_act(tables, mode, live, g))
-        drop = image < row if literal else image > row
+    literal, live, at = mode is SymmetryMode.LITERAL, arr, 0
+    while len(live) and at < len(tables.sweep):
+        block = tables.sweep[at : at + max(1, _BLOCK_BYTES // (len(live) * (live.shape[1] + 1)))]
+        at += len(block)
+        row, image = _keys(live)[:, None], _keys(_act(tables, mode, live, block))
+        drop = (image < row if literal else image > row).any(axis=1)
         fixed = image == row
-        if fixed.any():
-            drop[fixed] = _signs(tables, mode, live[fixed], g) == -1
+        held = fixed.any(axis=1) & ~drop  # only these need signs
+        if held.any():
+            drop[held] = (fixed[held] & (_signs(tables, mode, live[held], block) == -1)).any(axis=1)
         live = live[~drop]
     return live
 

@@ -29,6 +29,7 @@ from graphcoh.coboundary import (
     parse_matrix,
     rref,
 )
+from graphcoh.coboundary import _back_substitute, _forward_eliminate
 from graphcoh.errors import BasisTooLarge, DegenerateContraction, FormatError, NotRegular
 from graphcoh.graphs import (
     SymmetryMode,
@@ -335,14 +336,23 @@ def test_fraction_entries_give_the_same_rank_and_kernel(mode, order, degree, con
 def test_rank_and_kernel_share_one_elimination(monkeypatch):
     calls = []
 
-    def counting_rref(*args):
+    def counting_forward_eliminate(*args):
         calls.append(args)
-        return rref(*args)
+        return _forward_eliminate(*args)
 
-    monkeypatch.setattr(coboundary, "rref", counting_rref)
+    monkeypatch.setattr(coboundary, "_forward_eliminate", counting_forward_eliminate)
     dm = delta_matrix(1, -2, connected=False)
     assert (dm.rank(), len(dm.kernel())) == (12, 268)
     assert len(calls) == 1
+
+
+def test_rank_never_back_substitutes(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("rank back-substituted")
+
+    monkeypatch.setattr(coboundary, "_back_substitute", refuse)
+    assert delta_matrix(1, -2).rank() == 12
+    assert delta_matrix(2, 0, mode=SymmetryMode.EDGE_RENUMBERING).rank() == 4
 
 
 def test_trivalent_cell_frozen_dimensions():
@@ -645,6 +655,46 @@ def test_elimination_matches_sympy(rows):
     for vec in kernel:
         for row in rows:
             assert sum(row[c] * v for c, v in vec.items()) == 0
+
+
+def dense_rref(nrows, ncols, entries):
+    """{pivot column: {column: value}} of the reduced row echelon form, by
+    textbook dense Gauss-Jordan: the first row holding each column pivots."""
+    m = [[Fraction(entries.get((r, c), 0)) for c in range(ncols)] for r in range(nrows)]
+    pivots = []
+    for c in range(ncols):
+        at = len(pivots)
+        p = next((r for r in range(at, nrows) if m[r][c]), None)
+        if p is None:
+            continue
+        m[at], m[p] = m[p], m[at]
+        m[at] = [x / m[at][c] for x in m[at]]
+        for r in range(nrows):
+            if r != at and m[r][c]:
+                m[r] = [x - m[r][c] * y for x, y in zip(m[r], m[at])]
+        pivots.append(c)
+    return {c: {k: x for k, x in enumerate(m[i]) if x} for i, c in enumerate(pivots)}
+
+
+sparse_matrices = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 7)), small_fractions, max_size=24
+)
+
+
+@given(sparse_matrices)
+def test_back_substituting_the_echelon_is_the_rref(entries):
+    """Forward elimination leaves each pivot row nonzero at its pivot and
+    empty to its left, on the pivot columns of the RREF; back-substituting
+    it gives the RREF, as textbook Gauss-Jordan and rref do."""
+    echelon = _forward_eliminate(8, entries)
+    expected = dense_rref(6, 8, entries)
+    assert list(echelon) == list(expected)
+    assert all(min(row) == c and row[c] for c, row in echelon.items())
+    before = {c: dict(row) for c, row in echelon.items()}
+    reduced = _back_substitute(echelon)
+    assert echelon == before
+    assert list(reduced) == list(expected) and reduced == expected
+    assert rref(8, entries) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,33 @@ def test_compositions_into_no_parts():
     assert _compositions(2, 0, 5).shape == (0, 0)
 
 
+def counted_sweep(monkeypatch, mode, vertices, edges):
+    """The filtered rows of a cell, its sweep's survivors and the block of
+    permutations handed to _act in each round."""
+    tables = _perm_tables(vertices)
+    rows = _valence_filter(
+        _labeled_universe(vertices, edges, mode, tables), vertices, mode, tables, False
+    )
+    blocks = []
+
+    def counting_act(*args):
+        blocks.append(args[3].tolist())
+        return _act(*args)
+
+    monkeypatch.setattr(enumeration, "_act", counting_act)
+    return rows, _bulk_survivors(rows, mode, tables), blocks
+
+
+def test_the_sweep_order_puts_fewer_moved_points_first():
+    """tables.sweep is every permutation but the identity, by how many
+    points it moves, ties in lex order."""
+    for v in range(1, 7):
+        tables = _perm_tables(v)
+        moved = [sum(a != b for a, b in zip(g, range(1, v + 1))) for g in tables.perms]
+        expected = sorted(range(1, len(tables.perms)), key=lambda i: (moved[i], i))
+        assert tables.sweep.tolist() == expected
+
+
 @pytest.mark.parametrize(
     "mode, vertices, edges",
     [
@@ -221,20 +248,13 @@ def test_compositions_into_no_parts():
 def test_sweep_keeps_exactly_the_canonical_rows(monkeypatch, mode, vertices, edges):
     """A filtered row survives the sweep iff it decodes to the canonical
     skeleton of a nonzero class, and the sweep moves the rows by each
-    permutation but the identity once."""
+    permutation but the identity once, in sweep order, a block at a time."""
+    rows, survivors, blocks = counted_sweep(monkeypatch, mode, vertices, edges)
     tables = _perm_tables(vertices)
-    rows = _valence_filter(
-        _labeled_universe(vertices, edges, mode, tables), vertices, mode, tables, False
-    )
-    acts = []
-
-    def counting_act(*args):
-        acts.append(args)
-        return _act(*args)
-
-    monkeypatch.setattr(enumeration, "_act", counting_act)
-    survivors = _bulk_survivors(rows, mode, tables)
-    assert len(acts) == math.factorial(vertices) - 1
+    assert len(survivors)
+    assert sum(blocks, []) == tables.sweep.tolist()
+    if (mode, vertices) == (SymmetryMode.EDGE_RENUMBERING, 6):
+        assert len(blocks) <= 10  # not one round per permutation: 719 of them
     expected = set()
     for skeleton in _skeletons(vertices, rows, mode, tables.pairs):
         cls = canonicalize(skeleton, mode)
@@ -243,6 +263,21 @@ def test_sweep_keeps_exactly_the_canonical_rows(monkeypatch, mode, vertices, edg
     got = set(_skeletons(vertices, survivors, mode, tables.pairs))
     assert len(got) == len(survivors)
     assert got == expected
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, budget", [(6, 4, 1 << 10), (7, 4, None)], ids=["6-4-small-blocks", "7-4"]
+)
+def test_the_sweep_stops_once_no_row_is_live(monkeypatch, vertices, edges, budget):
+    """A cell with no nonzero class ends its sweep in the round that drops
+    its last row, short of the end of the sweep."""
+    if budget is not None:
+        monkeypatch.setattr(enumeration, "_BLOCK_BYTES", budget)
+    rows, survivors, blocks = counted_sweep(monkeypatch, SymmetryMode.EDGE_RENUMBERING, vertices, edges)
+    sweep = _perm_tables(vertices).sweep.tolist()
+    assert len(rows) and not len(survivors)
+    done = sum(blocks, [])
+    assert len(done) < len(sweep) and done == sweep[: len(done)]
 
 
 @pytest.mark.parametrize(
