@@ -14,26 +14,33 @@ assumed.  This module owns that contraction: _contract is the only code
 that builds a contracted edge list or renumbers vertices.  contract_edge
 and the decorated delta call it; delta and delta_matrix contract all pair
 rows of canonical at once through tables read off _contract
-(_contraction_tables) and canonicalize the images in one canonical_rows
-call.  Both read delta of a class through _columns, the one path from
-images to columns {image class: integer coefficient}: it keeps a per-class
-memo of at most 2**17 classes, contracts only the classes the memo lacks
-and decodes each distinct image row once.  delta of a cochain sums integer
-numerators over the lcm of its denominators; delta_matrix finds each
-image's row in one dict over the codomain classes.
+(_contraction_tables).  Equal labeled images are merged by their byte
+keys first, so one canonical_rows call canonicalizes each distinct image
+once; a term's sign is its row's relation times -1 for each edge
+reversal the contraction forced or the source row stored, since neither
+moves the witness or the zero flag.  Both read delta of a class through
+_columns, the one path from images to columns {image class: integer
+coefficient}: it keeps a per-class memo of at most 2**17 classes,
+contracts only the classes the memo lacks, sums each (class, image) pair
+in integer numpy and decodes each distinct canonical image once.  delta
+of a cochain sums integer numerators over the lcm of its denominators;
+delta_matrix finds each image's row in one dict over the codomain
+classes.
 
-Ranks and kernels are computed over exact rationals from the matrix's
-own (row, col) entries in two phases.  Forward elimination
-(_forward_eliminate) takes columns left to right, each pivot the
-sparsest unused row holding its column, and clears each column from the
-unused rows only; the rank is its number of pivots, and a DeltaMatrix
-runs it once.  Back substitution (_back_substitute) turns that echelon
-form into the reduced row echelon form, from which the kernel basis is
-read off the free columns as sparse vectors; only kernel() and rref pay
-for it.  The unused rows get the same updates as under one Gauss-Jordan
-pass, so the pivots are the same, and the reduced form is unique, so the
-pivot rule only affects fill-in; everything is deterministic for fixed
-bases.
+Ranks and kernels are computed exactly from the matrix's own (row, col)
+entries in two phases, fraction-free (Bareiss): rows are Python-int
+dicts and a column is cleared from a row by an integer combination with
+the pivot row (_clear), which keeps the supports of rational
+elimination.  Forward elimination (_forward_eliminate) takes columns
+left to right, each pivot the sparsest unused row holding its column,
+and clears each column from the unused rows only; the rank is its number
+of pivots, and a DeltaMatrix runs it once.  Back substitution
+(_back_substitute) clears the pivot rows above each pivot, and each row
+divided by its pivot entry is a row of the reduced row echelon form; the
+kernel basis is read off the free columns, one Fraction per entry, and
+only kernel() and rref pay for it.  The pivots are those of one
+Gauss-Jordan pass and the reduced form is unique, so the pivot rule only
+affects fill-in; everything is deterministic for fixed bases.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .canonical import GraphClass, _perm_tables, _rows_of, _skeletons, canonical_rows
+from .canonical import GraphClass, _keys, _perm_tables, _rows_of, _skeletons, canonical_rows
 from .enumeration import enumerate_grading
 from .errors import DegenerateContraction, FormatError, NotRegular, _data_lines
 from .graphs import GraphSkeleton, SymmetryMode
@@ -211,13 +218,14 @@ def _contraction_tables(v: int):
 
 
 def _images(classes: Sequence[GraphClass]):
-    """(source index, canonical image row, coefficient) of every term of delta
-    on basis classes of one grading and mode, as rows; zero images are
-    dropped and equal ones are not yet summed."""
+    """The terms of delta on basis classes of one grading and mode: arrays
+    of (source index, image id, coefficient), and the canonical row of each
+    image id.  Each distinct labeled image row is canonicalized once; zero
+    images are dropped and equal ones are not yet summed."""
     mode, v = classes[0].mode, classes[0].skeleton.vertex_count
     rows, reversals = _rows_of([c.skeleton for c in classes], mode, _perm_tables(v))
     if v < 2:  # the empty graph has nothing to contract
-        return np.zeros(0, dtype=np.intp), rows[:0], np.zeros(0, dtype=np.int64)
+        return (np.zeros(0, dtype=np.intp),) * 3 + (rows[:0],)
     target, flip, sign, touch = _contraction_tables(v)
     mult = (rows[..., None] == np.arange(len(target))).sum(axis=1) if mode is SymmetryMode.LITERAL else rows
     # regular pairs, unless no other edge meets their ends (a bare vertex is not a graph)
@@ -229,10 +237,17 @@ def _images(classes: Sequence[GraphClass]):
         image = np.zeros((len(src), target.max(initial=0) + 1), dtype=np.int16)
         np.add.at(image, (np.arange(len(src))[:, None], target[pair]), rows[src])
         image, flips = image[:, :-1], (rows[src] * flip[pair]).sum(axis=1)
-    best, _, relation, zero = canonical_rows(_perm_tables(v - 1), mode, image, flips)
-    # every edge reversal stored in a row flips the sign of each of its contractions
-    coeff = sign[pair] * relation * (1 - 2 * (reversals[src] & 1))
-    return src[~zero], best[~zero], coeff[~zero]
+    _, first, distinct = np.unique(_keys(image), return_index=True, return_inverse=True)
+    # witnesses and zero flags ignore stored reversals, so the distinct rows are canonicalized with none
+    best, _, relation, zero = canonical_rows(_perm_tables(v - 1), mode, image[first], np.zeros_like(first))
+    nonzero = best[~zero]
+    _, at, label = np.unique(_keys(nonzero), return_index=True, return_inverse=True)
+    ids = np.zeros(len(best), dtype=np.intp)
+    ids[~zero] = label
+    # every edge reversal, forced by the contraction or stored in a row, flips the sign of its term
+    coeff = sign[pair] * relation[distinct] * (1 - 2 * ((flips + reversals[src]) & 1))
+    live = ~zero[distinct]
+    return src[live], ids[distinct][live], coeff[live], nonzero[at]
 
 
 _COLUMN_BOUND = 1 << 17  # classes whose delta _COLUMNS keeps
@@ -242,21 +257,23 @@ _COLUMNS: dict[GraphClass, dict[GraphClass, int]] = {}
 def _columns(classes: Sequence[GraphClass]) -> list[dict[GraphClass, int]]:
     """delta of each basis class of one grading and mode as {image class:
     coefficient}, read from the memo; the classes it lacks are contracted in
-    one _images call, whose distinct image rows are decoded once, and stored,
+    one _images call, whose terms are summed per (class, image) in integers
+    and whose distinct canonical images are decoded once, and stored,
     dropping the oldest past the bound."""
     columns = [_COLUMNS.get(cls) for cls in classes]
     missing = [cls for cls, col in zip(classes, columns) if col is None]
     if missing:
         mode, v = missing[0].mode, missing[0].skeleton.vertex_count - 1
-        first: dict[bytes, int] = {}  # image row bytes -> index of its first row
-        sums: list[dict[int, int]] = [{} for _ in missing]
-        src, image, coeff = _images(missing)
-        for i, (s, row, k) in enumerate(zip(src.tolist(), image, coeff.tolist())):
-            target = first.setdefault(row.tobytes(), i)
-            sums[s][target] = sums[s].get(target, 0) + k
-        skeletons = _skeletons(v, image[list(first.values())], mode, _perm_tables(v).pairs)
-        found = {i: GraphClass(g, 1, mode) for i, g in zip(first.values(), skeletons)}
-        fresh = {cls: {found[t]: k for t, k in col.items() if k} for cls, col in zip(missing, sums)}
+        src, ids, coeff, canon = _images(missing)
+        terms, at = np.unique(src * len(canon) + ids, return_inverse=True)  # by class, then image
+        sums = np.zeros(len(terms), dtype=np.int64)
+        np.add.at(sums, at, coeff)
+        found = [GraphClass(g, 1, mode) for g in _skeletons(v, canon, mode, _perm_tables(v).pairs)]
+        sums_of: list[dict[GraphClass, int]] = [{} for _ in missing]
+        for t, k in zip(terms.tolist(), sums.tolist()):
+            if k:
+                sums_of[t // len(canon)][found[t % len(canon)]] = k
+        fresh = dict(zip(missing, sums_of))
         _COLUMNS.update(fresh)
         for stale in list(itertools.islice(_COLUMNS, max(0, len(_COLUMNS) - _COLUMN_BOUND))):
             del _COLUMNS[stale]
@@ -302,7 +319,7 @@ class DeltaMatrix:
         return (len(self.codomain), len(self.domain))
 
     @functools.cached_property
-    def _echelon(self) -> dict[int, dict[int, Fraction]]:
+    def _echelon(self) -> dict[int, dict[int, int]]:
         """The row echelon form, computed once; entries must not change after."""
         return _forward_eliminate(len(self.domain), self.entries)
 
@@ -337,80 +354,94 @@ def delta_matrix(
 
 
 # ---------------------------------------------------------------------------
-# Exact rational elimination.
+# Exact fraction-free elimination.
 # ---------------------------------------------------------------------------
+
+
+def _clear(row: dict[int, int], prow: Mapping[int, int], c: int,
+           holders: dict[int, set[int]] | None = None, r: int = 0) -> None:
+    """Clear column c from an integer row by prow, fraction-free and in
+    place: row := b*row - a*prow with a/b = row[c]/prow[c] in lowest terms,
+    then the row is divided by its content when b != 1.  Scaling never
+    changes a row's support.  holders, if given, maps each column to the
+    rows holding it, row being row r."""
+    g = math.gcd(row[c], prow[c])
+    a, b = row[c] // g, prow[c] // g
+    if b != 1:
+        for k in row:
+            row[k] *= b
+    for k, v in prow.items():
+        x = row.get(k)
+        if x is None:  # fill-in
+            row[k] = -a * v
+            if holders is not None:
+                holders[k].add(r)
+        else:
+            x -= a * v
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+                if holders is not None:
+                    holders[k].discard(r)
+    if b != 1 and (g := math.gcd(*row.values())) > 1:
+        for k in row:
+            row[k] //= g
 
 
 def _forward_eliminate(
     ncols: int, entries: Mapping[tuple[int, int], Fraction | int]
-) -> dict[int, dict[int, Fraction]]:
+) -> dict[int, dict[int, int]]:
     """Sparse row echelon form of (row, col) entries: {pivot column: row}.
 
-    Rows are {column: Fraction} dicts, whatever rationals the entries are.
-    Columns are eliminated left to right; the pivot of a column is the
-    sparsest unused row holding it, ties broken by row index, and the
-    column is cleared from the unused rows only.  A pivot row keeps its
-    scale and holds no column left of its pivot.  The result is keyed in
+    Rows are {column: int} dicts, each input row scaled by the lcm of its
+    denominators.  Columns are eliminated left to right; the pivot of a
+    column is the sparsest unused row holding it, ties broken by row
+    index, and is divided by its content, with a positive pivot entry.
+    The column is cleared from the unused rows only (_clear), which keeps
+    their supports those of rational elimination, so the pivots are too.
+    A pivot row holds no column left of its pivot.  The result is keyed in
     ascending pivot order; its length is the rank.
     """
-    rows: dict[int, dict[int, Fraction]] = {}
+    rows: dict[int, dict[int, int]] = {}
     holders: dict[int, set[int]] = {}  # the unused rows holding each column
     for (r, c), v in entries.items():
         if v:
-            rows.setdefault(r, {})[c] = Fraction(v)
+            rows.setdefault(r, {})[c] = v
             holders.setdefault(c, set()).add(r)
-    echelon: dict[int, dict[int, Fraction]] = {}
+    for row in rows.values():
+        den = math.lcm(*(v.denominator for v in row.values()))
+        for k, v in row.items():
+            row[k] = v.numerator * (den // v.denominator)
+    echelon: dict[int, dict[int, int]] = {}
     for c in range(ncols):
         free = holders.pop(c, None)
         if not free:
             continue
         p = min(free, key=lambda r: (len(rows[r]), r))
         prow = echelon[c] = rows.pop(p)
+        g = math.gcd(*prow.values()) * (1 if prow[c] > 0 else -1)  # primitive, positive pivot
+        for k in prow:
+            prow[k] //= g
         holders[c] = set()  # column c is done; this takes the discards of c below
         for k in prow:
             holders[k].discard(p)
-        pv = prow[c]
-        for r in free:
-            if r == p:
-                continue
-            row = rows[r]
-            g = -row[c] / pv
-            for k, v in prow.items():
-                x = row.get(k)
-                if x is None:  # fill-in: a later column, still in holders
-                    row[k] = g * v
-                    holders[k].add(r)
-                else:
-                    x += g * v
-                    if x:
-                        row[k] = x
-                    else:
-                        del row[k]
-                        holders[k].discard(r)
+        for r in free - {p}:
+            _clear(rows[r], prow, c, holders, r)
     return echelon
 
 
-def _back_substitute(echelon: Mapping[int, Mapping[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
-    """The reduced row echelon form from _forward_eliminate's output, which
-    is left as it is.  Last pivot first, each echelon row is scaled to 1
-    and cleared of the later pivot columns it holds by their reduced rows,
-    which hold no other pivot column, so no clearing brings one in."""
-    reduced: dict[int, dict[int, Fraction]] = {}
+def _back_substitute(echelon: Mapping[int, Mapping[int, int]]) -> dict[int, dict[int, int]]:
+    """The reduced rows of _forward_eliminate's output, which is left as it
+    is: each row, divided by its positive pivot entry, is a row of the
+    reduced row echelon form.  Last pivot first, each echelon row is
+    cleared (_clear) of the later pivot columns it holds by their reduced
+    rows, which hold no other pivot column, so no clearing brings one in."""
+    reduced: dict[int, dict[int, int]] = {}
     for c in reversed(echelon):
-        pv = echelon[c][c]
-        row = dict(echelon[c]) if pv == 1 else {k: v / pv for k, v in echelon[c].items()}
+        row = dict(echelon[c])
         for j in [j for j in row if j in reduced]:  # the later pivots it holds
-            g = -row[j]
-            for k, v in reduced[j].items():
-                x = row.get(k)
-                if x is None:
-                    row[k] = g * v
-                else:
-                    x += g * v
-                    if x:
-                        row[k] = x
-                    else:
-                        del row[k]
+            _clear(row, reduced[j], j)
         reduced[c] = row
     return dict(reversed(reduced.items()))
 
@@ -420,24 +451,27 @@ def rref(
 ) -> dict[int, dict[int, Fraction]]:
     """Sparse reduced row echelon form of (row, col) entries: {pivot column: row}.
 
-    Rows are {column: Fraction} dicts, whatever rationals the entries are.
-    Forward elimination (_forward_eliminate) picks the pivots; back
-    substitution (_back_substitute) scales each pivot row to 1 and clears
-    its column from the pivot rows above.  The result is keyed in
-    ascending pivot order.
+    Rows are {column: Fraction} dicts with pivot entry 1, whatever
+    rationals the entries are.  Forward elimination (_forward_eliminate)
+    picks the pivots; back substitution (_back_substitute) clears each
+    pivot column from the pivot rows above, and each row is then divided
+    by its pivot entry.  The result is keyed in ascending pivot order.
     """
-    return _back_substitute(_forward_eliminate(ncols, entries))
+    reduced = _back_substitute(_forward_eliminate(ncols, entries))
+    return {c: {k: Fraction(v, row[c]) for k, v in row.items()} for c, row in reduced.items()}
 
 
 def kernel_basis(
-    ncols: int, reduced: Mapping[int, Mapping[int, Fraction]]
+    ncols: int, reduced: Mapping[int, Mapping[int, Fraction | int]]
 ) -> list[dict[int, Fraction]]:
-    """Sparse kernel basis from rref output: {f: 1} + {p: -R[p][f]} per free column f, ascending."""
+    """Sparse kernel basis from reduced rows, rref's or unscaled ones:
+    {f: 1} + {p: -R[p][f]/R[p][p]} per free column f, ascending."""
     basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in reduced}
     for p, row in reduced.items():
+        d = row[p]
         for f, v in row.items():
             if f != p:
-                basis[f][p] = -v
+                basis[f][p] = Fraction(-v, d)
     return list(basis.values())
 
 

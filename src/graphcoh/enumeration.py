@@ -27,13 +27,17 @@ Rows that survive every permutation are the canonical nonzero ones.  The
 slice is built in ascending row order and only masked after, so one
 canonical._skeletons call decodes them in sorted order: in row order in
 LITERAL mode, reversed otherwise (the greatest multiplicity vector is the
-least edge list).  The connected filter reads the skeletons, so a
-GraphClass is built only for a class that is returned.
+least edge list).  The connected filter reads the skeletons.  The classes
+of the _RECENT_CELLS most recently used cells are kept, keyed by (V, E,
+connected, trivalent, mode), so a cell asked for again, as delta_matrix
+does for the codomain of one degree and the domain of the next, is
+swept once; each call returns its own list.
 
 Enumeration refuses to start when the full labeled universe, not its
 slice, would exceed a multiple of the configured class cap, or when V > 8
 puts the exhaustive permutation sweep out of reach (BasisTooLarge), so
-hopeless requests fail fast instead of grinding.
+hopeless requests fail fast instead of grinding; the class count is
+checked against the cap on every call, kept cells included.
 """
 
 from __future__ import annotations
@@ -56,8 +60,10 @@ from .errors import BasisTooLarge
 from .graphs import SymmetryMode, counts_for_grading, is_connected
 
 DEFAULT_CAP = 200_000
+_RECENT_CELLS = 4  # cells whose classes enumerate_by_counts keeps, the most recently used
 
 _UNIVERSE_FACTOR = 50  # labeled universe may be this many times the cap
+_RECENT: dict[tuple, list[GraphClass]] = {}  # (V, E, connected, trivalent, mode) -> its classes
 
 
 def resolve_cap(cap: int | None = None) -> int:
@@ -190,17 +196,22 @@ def enumerate_by_counts(
             f"past the exhaustive-search bound (V <= {_LARGE_FACTORIAL_GUARD})"
         )
 
-    tables = _perm_tables(v)
-    rows = _bulk_survivors(
-        _valence_filter(_labeled_universe(v, e, mode, tables), v, mode, tables, trivalent), mode, tables)
-    skeletons = _skeletons(v, rows if mode is SymmetryMode.LITERAL else rows[::-1], mode, tables.pairs)
-    if connected:
-        skeletons = [g for g in skeletons if is_connected(g)]
-    if len(skeletons) > cap:
+    key = (v, e, connected, trivalent, mode)
+    classes = _RECENT.pop(key, None)
+    if classes is None:
+        tables = _perm_tables(v)
+        rows = _bulk_survivors(
+            _valence_filter(_labeled_universe(v, e, mode, tables), v, mode, tables, trivalent), mode, tables)
+        skeletons = _skeletons(v, rows if mode is SymmetryMode.LITERAL else rows[::-1], mode, tables.pairs)
+        classes = [GraphClass(g, 1, mode) for g in skeletons if not connected or is_connected(g)]
+    _RECENT[key] = classes
+    if len(_RECENT) > _RECENT_CELLS:
+        del _RECENT[next(iter(_RECENT))]
+    if len(classes) > cap:
         raise BasisTooLarge(
-            f"{len(skeletons)} classes at V={v}, E={e} exceed the cap", cap
+            f"{len(classes)} classes at V={v}, E={e} exceed the cap", cap
         )
-    return [GraphClass(g, 1, mode) for g in skeletons]
+    return list(classes)
 
 
 def enumerate_grading(

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import hashlib
+import math
 import random
 import runpy
 from fractions import Fraction
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from graphcoh import canonical, coboundary, enumeration
-from graphcoh.canonical import GraphClass, canonicalize
+from graphcoh.canonical import GraphClass, canonical_rows, canonicalize
 from graphcoh.coboundary import (
     Cochain,
     cocycle_basis,
@@ -458,6 +459,55 @@ def test_delta_matrix_matches_oracle_on_whole_cells(mode, vertex_counts, connect
         assert dm.entries == expected, (order, degree)
 
 
+def test_images_canonicalize_each_distinct_labeled_row_once(monkeypatch):
+    """canonical_rows meets pairwise-distinct image rows, holding no stored
+    edge reversal: each term's sign is applied after."""
+    seen = []
+
+    def spy(tables, mode, rows, reversals):
+        seen.append((rows.tolist(), reversals.tolist()))
+        return canonical_rows(tables, mode, rows, reversals)
+
+    monkeypatch.setattr(coboundary, "canonical_rows", spy)
+    monkeypatch.setattr(coboundary, "_COLUMNS", {})
+    delta_matrix(2, 0)
+    delta_matrix(3, 0, mode=SymmetryMode.EDGE_RENUMBERING)
+    assert len(seen) == 2
+    for rows, reversals in seen:
+        assert len(set(map(tuple, rows))) == len(rows) and not any(reversals)
+
+
+@pytest.mark.parametrize(
+    "mode, order, degree", [(SymmetryMode.LITERAL, 1, -1), (SymmetryMode.EDGE_RENUMBERING, 0, -4)]
+)
+def test_one_image_row_reached_with_either_flip_parity_matches_the_oracle(monkeypatch, mode, order, degree):
+    """In these cells two contractions reach one labeled image row of a
+    nonzero class with edge reversal counts of both parities, so one
+    canonicalization serves terms of either sign; the entries still match
+    the oracle."""
+    monkeypatch.setattr(coboundary, "_COLUMNS", {})
+    dm = delta_matrix(order, degree, mode=mode)
+    v = dm.domain[0].skeleton.vertex_count
+    parities: dict = {}
+    for cls in dm.domain:
+        for e in range(1, cls.skeleton.edge_count + 1):
+            try:
+                image, _ = contract_edge(cls.skeleton, e)
+            except (NotRegular, DegenerateContraction):
+                continue
+            if not canonicalize(image, mode).is_zero:
+                rows, reversals = canonical._rows_of([image], mode, canonical._perm_tables(v - 1))
+                parities.setdefault(rows.tobytes(), set()).add(int(reversals[0]) % 2)
+    assert {0, 1} in parities.values()
+    row_of = {cls.skeleton.edges: r for r, cls in enumerate(dm.codomain)}
+    expected = {
+        (row_of[form], col): coeff
+        for col, cls in enumerate(dm.domain)
+        for form, coeff in oracles.delta_map(v, cls.skeleton.edges, mode.value).items()
+    }
+    assert expected and dm.entries == expected
+
+
 # sha256 of the repr of test_delta_matrices_are_frozen's matrix list,
 # recorded while delta_matrix still found its images by byte key.
 FROZEN_DELTA_MATRICES = "431a16fc21627554eafd40ca365f2476bf754564efc6f0d2a327048d32e51839"
@@ -684,8 +734,9 @@ sparse_matrices = st.dictionaries(
 @given(sparse_matrices)
 def test_back_substituting_the_echelon_is_the_rref(entries):
     """Forward elimination leaves each pivot row nonzero at its pivot and
-    empty to its left, on the pivot columns of the RREF; back-substituting
-    it gives the RREF, as textbook Gauss-Jordan and rref do."""
+    empty to its left, on the pivot columns of the RREF; back substitution
+    leaves it as it is and gives rows whose positive pivot entry divides
+    them into the RREF, which rref returns, as textbook Gauss-Jordan does."""
     echelon = _forward_eliminate(8, entries)
     expected = dense_rref(6, 8, entries)
     assert list(echelon) == list(expected)
@@ -693,8 +744,30 @@ def test_back_substituting_the_echelon_is_the_rref(entries):
     before = {c: dict(row) for c, row in echelon.items()}
     reduced = _back_substitute(echelon)
     assert echelon == before
-    assert list(reduced) == list(expected) and reduced == expected
+    assert list(reduced) == list(expected) and all(row[c] > 0 for c, row in reduced.items())
+    assert {c: {k: Fraction(v, row[c]) for k, v in row.items()} for c, row in reduced.items()} == expected
     assert rref(8, entries) == expected
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 7)), rationals, max_size=24))
+def test_the_echelon_of_rational_entries_is_primitive_integer_rows(entries):
+    """Whatever the denominators, each echelon row holds ints with no
+    common factor and a positive pivot entry, on the RREF's pivot columns."""
+    echelon = _forward_eliminate(8, entries)
+    assert list(echelon) == list(dense_rref(6, 8, entries))
+    for c, row in echelon.items():
+        assert all(type(v) is int for v in row.values())
+        assert math.gcd(*row.values()) == 1 and row[c] > 0
+
+
+def test_rank_of_an_integer_matrix_builds_no_fraction(monkeypatch):
+    matrices = [delta_matrix(1, -2), delta_matrix(2, -1, mode=SymmetryMode.EDGE_RENUMBERING)]
+
+    def refuse(*args):
+        raise AssertionError("rank built a Fraction")
+
+    monkeypatch.setattr(coboundary, "Fraction", refuse)
+    assert [dm.rank() for dm in matrices] == [12, 15]
 
 
 # ---------------------------------------------------------------------------

@@ -466,6 +466,57 @@ def test_class_count_refusal_names_the_count():
     assert len(enumerate_by_counts(3, 4, cap=13)) == 13
 
 
+# ---------------------------------------------------------------------------
+# The memo of recent cells.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_recent_cell_is_not_swept_again(monkeypatch, mode):
+    monkeypatch.setattr(enumeration, "_RECENT", {})
+    first = enumerate_by_counts(4, 5, mode=mode, connected=True)
+
+    def no_sweep(*args):
+        raise AssertionError("a recent cell was swept again")
+
+    monkeypatch.setattr(enumeration, "_bulk_survivors", no_sweep)
+    assert enumerate_by_counts(4, 5, mode=mode, connected=True) == first
+    with pytest.raises(AssertionError, match="swept again"):  # another filter is another cell
+        enumerate_by_counts(4, 5, mode=mode)
+
+
+def test_a_smaller_cap_on_a_recent_cell_is_still_refused(monkeypatch):
+    monkeypatch.setattr(enumeration, "_RECENT", {})
+    with pytest.raises(BasisTooLarge) as cold:
+        enumerate_by_counts(3, 4, cap=2)
+    assert len(enumerate_by_counts(3, 4, cap=13)) == 13
+    with pytest.raises(BasisTooLarge) as warm:
+        enumerate_by_counts(3, 4, cap=2)
+    assert str(warm.value) == str(cold.value) == (
+        "basis enumeration exceeds the cap (2): 13 classes at V=3, E=4 exceed the cap")
+    assert warm.value.cap == cold.value.cap == 2
+
+
+def test_each_call_returns_its_own_list(monkeypatch):
+    monkeypatch.setattr(enumeration, "_RECENT", {})
+    first = enumerate_by_counts(4, 5)
+    expected = list(first)
+    first.clear()
+    second = enumerate_by_counts(4, 5)
+    assert second == expected and second is not enumerate_by_counts(4, 5)
+
+
+def test_the_memo_keeps_only_the_most_recent_cells(monkeypatch):
+    monkeypatch.setattr(enumeration, "_RECENT", {})
+    monkeypatch.setattr(enumeration, "_RECENT_CELLS", 2)
+    calls = [(3, 3), (3, 4), (3, 3), (4, 4), (4, 5), (4, 4)]
+    # least recently used first: a hit moves its cell to the end, past the bound the first goes
+    held = [[(3, 3)], [(3, 3), (3, 4)], [(3, 4), (3, 3)], [(3, 3), (4, 4)], [(4, 4), (4, 5)], [(4, 5), (4, 4)]]
+    for (v, e), expected in zip(calls, held):
+        enumerate_by_counts(v, e)
+        assert [key[:2] for key in enumeration._RECENT] == expected
+
+
 @pytest.mark.parametrize(
     "vertices, bound",
     [(9, "V <= 8")],
