@@ -18,8 +18,10 @@ pair ids in edge order (LITERAL), or pair multiplicity vectors, where the
 greatest vector gives the least flattened edge list.  _act and _signs are
 that action and its sign, in three patterns: self_symmetries moves one row
 by every permutation, enumeration the live rows of a cell by a block of
-permutations at a time, in sweep order, and canonical_rows many rows by
-every permutation, in chunks under a fixed byte budget.  Rows compare as
+permutations at a time, in sweep order (those that keep the pair (1, 2)
+first, _PermTables.sweep_keep, then the others, sweep_move), and
+canonical_rows many rows by every permutation, in chunks under a fixed
+byte budget.  Rows compare as
 big-endian byte keys exactly as wide as their entries (_keys), so one
 argmin (argmax) picks each canonical row; canonicalize is canonical_rows
 on one row.  _skeletons decodes a stack of rows of either format back
@@ -85,7 +87,8 @@ class GraphClass:
 class _PermTables:
     """Per-V tables describing how vertex permutations act on vertex pairs."""
 
-    __slots__ = ("perms", "parity", "pairs", "pair_index", "pair_map", "pair_flip", "pair_map_inv", "sweep")
+    __slots__ = ("perms", "parity", "pairs", "pair_index", "pair_map", "pair_flip", "pair_map_inv",
+                 "sweep_keep", "sweep_move")
 
     def __init__(self, v: int):
         perm_list = list(itertools.permutations(range(1, v + 1)))
@@ -109,9 +112,14 @@ class _PermTables:
         rows = np.arange(len(perm_list))[:, None]
         pair_map_inv[rows, self.pair_map] = np.arange(p, dtype=np.uint8)[None, :]
         self.pair_map_inv = pair_map_inv
-        # enumeration's order: the non-identity permutations by how many points they move, stably
+        # enumeration's order: the non-identity permutations that keep pair 0, (1, 2), then
+        # those that move it, each by how many points they move, stably
         moved_points = (images != np.arange(1, v + 1)).sum(axis=1)
-        self.sweep = np.argsort(moved_points, kind="stable")[1:]
+        moves_pair0 = (images[:, :2] > 2).any(axis=1)
+        moved_points[moves_pair0] += v + 1  # sorts them after every permutation keeping it
+        order = np.argsort(moved_points, kind="stable")[1:]
+        split = len(order) - int(moves_pair0.sum())
+        self.sweep_keep, self.sweep_move = order[:split], order[split:]
 
 
 @functools.lru_cache(maxsize=None)

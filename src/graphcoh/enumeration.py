@@ -6,35 +6,39 @@ of vertex pairs, in EDGE_RENUMBERING mode the set of multiplicity vectors
 over the pairs.  A class is kept when its labeled representative is the
 canonical one (no vertex permutation reaches a lexicographically smaller
 flattened edge list) and no self-symmetry carries sign -1.  Some vertex
-permutation moves any edge onto the pair (1, 2), so only the first-pair
-slice of the universe can hold canonical rows, and only it is built: the
-sequences whose first pair is (1, 2) in LITERAL mode (1/p of the universe
-over p pairs), the vectors whose greatest multiplicity is on (1, 2)
-otherwise.
+permutation moves any edge onto the pair (1, 2), pair 0, so only rows with
+pair 0 first (LITERAL) or greatest (otherwise) can be canonical; the same
+argument one pair further cuts the rows built (_labeled_universe) and kept
+for the sweep (_valence_filter, whose mask holds both conditions, so the
+sweep stays exact on rows of the full universe).
 
-One vectorized sweep serves every cell: the live rows meet a block of
-vertex permutations at a time, each permuted row compared with its
-original by their byte keys (canonical._keys).  Before the next block the
-sweep drops the rows some permutation of the block beats and the rows one
-fixes with sign -1, whose classes are zero; signs are computed only for
-the rows a permutation of the block fixes.  A row's verdict depends only
-on its own images, so dropping other rows early, and the grouping into
-blocks, change nothing.  Permutations come in order of how many points
-they move, transpositions first (canonical._PermTables.sweep), since the
-cheapest moves kill most rows.  Each block moves about _BLOCK_BYTES of
-rows, so blocks grow as rows die, and the sweep ends once no row is live.
-Rows that survive every permutation are the canonical nonzero ones.  The
-slice is built in ascending row order and only masked after, so one
-canonical._skeletons call decodes them in sorted order: in row order in
-LITERAL mode, reversed otherwise (the greatest multiplicity vector is the
-least edge list).  The connected filter reads the skeletons.  The classes
-of the _RECENT_CELLS most recently used cells are kept, keyed by (V, E,
-connected, trivalent, mode), so a cell asked for again, as delta_matrix
-does for the codomain of one degree and the domain of the next, is
-swept once; each call returns its own list.
+One vectorized sweep (_sweep) serves every cell: the live rows meet a
+block of vertex permutations at a time, each permuted row compared with
+its original by their byte keys (canonical._keys).  Before the next block
+the sweep drops the rows some permutation of the block beats and the
+rows one fixes with sign -1, whose classes are zero; signs are computed
+only for the rows a permutation of the block fixes.  A row's verdict
+depends only on its own images, so dropping other rows early, and the
+grouping into blocks, change nothing.  Every row meets the permutations
+that keep pair 0 (canonical._PermTables.sweep_keep).  One that moves it
+(sweep_move) can beat or fix only a row whose multiplicity on the pair it
+puts first ties the greatest, so it meets only those rows, and none in
+LITERAL mode.  Permutations come in order of how many points they move,
+transpositions first, since the cheapest moves kill most rows.  Each
+block moves about _BLOCK_BYTES of rows, so blocks grow as rows die, and
+the sweep ends once no row is live.  Rows that survive every permutation
+are the canonical nonzero ones.  The slice is built in ascending row
+order and only masked after, so one canonical._skeletons call decodes
+them in sorted order: in row order in LITERAL mode, reversed otherwise
+(the greatest multiplicity vector is the least edge list).  The connected
+filter reads the skeletons.  The classes of the _RECENT_CELLS most
+recently used cells are kept, keyed by (V, E, connected, trivalent,
+mode), so a cell asked for again, as delta_matrix does for the codomain
+of one degree and the domain of the next, is swept once; each call
+returns its own list.
 
-Enumeration refuses to start when the full labeled universe, not its
-slice, would exceed a multiple of the configured class cap, or when V > 8
+Enumeration refuses to start when the full labeled universe, not the rows
+built, would exceed a multiple of the configured class cap, or when V > 8
 puts the exhaustive permutation sweep out of reach (BasisTooLarge), so
 hopeless requests fail fast instead of grinding; the class count is
 checked against the cap on every call, kept cells included.
@@ -112,27 +116,38 @@ def _compositions(total: int, parts: int, bound: int | None = None) -> np.ndarra
 
 
 def _labeled_universe(v: int, e: int, mode: SymmetryMode, tables) -> np.ndarray:
-    """The first-pair slice of the labeled universe, in ascending row order.
+    """The slice of the labeled universe that is built, in ascending row order.
 
     Some vertex permutation moves any pair onto pair 0, (1, 2).  So the least
     pair-id sequence of a class starts with pair 0 (LITERAL), and the greatest
     multiplicity vector has its greatest entry on pair 0 (otherwise): only
-    those rows can be canonical, and only they are built.
+    those rows can be canonical.  A permutation keeping pair 0 then moves the
+    second pair of a sequence onto (1, 2), (1, 3) or (3, 4), pair ids 0, 1 and
+    2V - 3, so only the sequences with one of those second are built.
     """
     p = len(tables.pairs)
     if mode is SymmetryMode.LITERAL:
-        digits = np.arange(p, dtype=np.uint8)
-        arr = np.zeros((p ** (e - 1), e), dtype=np.uint8)
-        for col in range(1, e):
-            arr[:, col] = np.tile(np.repeat(digits, p ** (e - 1 - col)), p ** (col - 1))
-        return arr
+        digits = [[0], [d for d in (0, 1, 2 * v - 3) if d < p]] + [range(p)] * (e - 2)
+        grid = np.meshgrid(*(np.array(d, np.uint8) for d in digits[:e]), indexing="ij", copy=False)
+        return np.stack(grid, axis=-1).reshape(-1, e)
     heads = range(-(-e // p), e + 1)  # the greatest of p entries summing to E is at least E/p
     return _stacked(heads, [_compositions(e - m, p - 1, m) for m in heads], np.min_scalar_type(e))
 
 
 def _valence_filter(arr: np.ndarray, v: int, mode: SymmetryMode, tables, trivalent: bool) -> np.ndarray:
-    """Keep rows where every vertex is touched (or has valence exactly 3)."""
-    keep = np.ones(arr.shape[0], dtype=bool)
+    """Keep rows where every vertex is touched (or has valence exactly 3)
+    whose first pair is (1, 2) (LITERAL), or whose first entry is their
+    greatest and whose multiplicities of (1, 3), ..., (1, V) do not increase
+    (otherwise): a transposition of two vertices in 3..V sorts those, so it
+    beats a row where they increase."""
+    if mode is SymmetryMode.LITERAL:
+        keep = arr[:, 0] == 0
+    else:  # column by column, as a reduction along short rows is slow
+        keep = np.ones(len(arr), dtype=bool)
+        for col in range(1, arr.shape[1]):
+            keep &= arr[:, col] <= arr[:, 0]
+            if col < v - 2:
+                keep &= arr[:, col] >= arr[:, col + 1]
     for u in range(1, v + 1):
         at_u = np.array([u in pair for pair in tables.pairs])
         if mode is SymmetryMode.LITERAL:
@@ -143,17 +158,17 @@ def _valence_filter(arr: np.ndarray, v: int, mode: SymmetryMode, tables, trivale
     return arr[keep]
 
 
-def _bulk_survivors(arr: np.ndarray, mode: SymmetryMode, tables) -> np.ndarray:
-    """The canonical nonzero rows of the labeled universe, in arr's order.
+def _sweep(live: np.ndarray, mode: SymmetryMode, tables, perms: np.ndarray) -> np.ndarray:
+    """The rows of live, in order, that no permutation of perms moves to a
+    more canonical row (see canonical.canonical_rows: lexicographically least
+    in LITERAL mode, greatest otherwise) or fixes with sign -1.
 
-    A row is dropped at the first block of permutations (tables.sweep, in
-    order, about _BLOCK_BYTES of moved rows a block) holding one that moves
-    it to a more canonical row (see canonical.canonical_rows: lexicographically
-    least in LITERAL mode, greatest otherwise) or fixes it with sign -1.
+    A row is dropped at the first block of perms, in order, about
+    _BLOCK_BYTES of moved rows a block, holding one that does.
     """
-    literal, live, at = mode is SymmetryMode.LITERAL, arr, 0
-    while len(live) and at < len(tables.sweep):
-        block = tables.sweep[at : at + max(1, _BLOCK_BYTES // (len(live) * (live.shape[1] + 1)))]
+    literal, at = mode is SymmetryMode.LITERAL, 0
+    while len(live) and at < len(perms):
+        block = perms[at : at + max(1, _BLOCK_BYTES // (len(live) * (live.shape[1] + 1)))]
         at += len(block)
         row, image = _keys(live)[:, None], _keys(_act(tables, mode, live, block))
         drop = (image < row if literal else image > row).any(axis=1)
@@ -163,6 +178,26 @@ def _bulk_survivors(arr: np.ndarray, mode: SymmetryMode, tables) -> np.ndarray:
             drop[held] = (fixed[held] & (_signs(tables, mode, live[held], block) == -1)).any(axis=1)
         live = live[~drop]
     return live
+
+
+def _bulk_survivors(arr: np.ndarray, mode: SymmetryMode, tables) -> np.ndarray:
+    """The canonical nonzero rows of rows that passed _valence_filter, in arr's order.
+
+    Every row meets tables.sweep_keep.  In EDGE_RENUMBERING mode each
+    permutation of tables.sweep_move then meets only the rows whose
+    multiplicity on the pair it puts first ties their greatest, the only
+    rows it can beat or fix; in LITERAL mode it can beat or fix none.
+    """
+    live = _sweep(arr, mode, tables, tables.sweep_keep)
+    if mode is SymmetryMode.LITERAL:
+        return live
+    puts_first = tables.pair_map_inv[tables.sweep_move, 0]  # the pair each permutation moves onto pair 0
+    beaten = np.zeros(len(live), dtype=bool)
+    for j in range(1, live.shape[1]):
+        tied = np.flatnonzero((live[:, j] == live[:, 0]) & ~beaten)
+        kept = set(_keys(_sweep(live[tied], mode, tables, tables.sweep_move[puts_first == j])).tolist())
+        beaten[tied] = [key not in kept for key in _keys(live[tied]).tolist()]
+    return live[~beaten]
 
 
 def enumerate_by_counts(
@@ -177,7 +212,7 @@ def enumerate_by_counts(
     """All nonzero classes with the given vertex and edge counts, sorted.
 
     The refusal bound counts the full labeled universe (_universe_size), of
-    which only the first-pair slice is built.
+    which only part of the first-pair slice is built.
     """
     cap = resolve_cap(cap)
     v, e = vertex_count, edge_count

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from graphcoh import enumeration
@@ -170,6 +172,30 @@ def test_class_lists_are_frozen():
     assert hashlib.sha256(repr(calls).encode()).hexdigest() == FROZEN_CLASS_LISTS
 
 
+# sha256 of the repr of each cell's class-list edges, recorded before the
+# sweep was split at pair 0: cells past test_class_lists_are_frozen's bound.
+FROZEN_FRONTIER = [
+    (SymmetryMode.LITERAL, 5, 7, 72023, "dd9bfd910c67b7743eef31aa8cd600a3dc6036bb85b77953048118b7d76686ec"),
+    (SymmetryMode.LITERAL, 6, 6, 9015, "6dcd396009a331b9e7aa26fd24bbd1e693bc1d55533cbc18475b2255d8fee719"),
+    (SymmetryMode.EDGE_RENUMBERING, 7, 9, 995,
+     "b8d674cc95dcdb67fccd3865b062d8afe78e390e5e5a06ab6b9344d96a00fff2"),
+    (SymmetryMode.EDGE_RENUMBERING, 8, 8, 162,
+     "ea6ae2f2e54a35e06c5a9647e14dc15ca51933f25418c56e9f3251da4ca3e69b"),
+]
+
+
+@pytest.mark.parametrize(
+    "mode, vertices, edges, count, digest", FROZEN_FRONTIER,
+    ids=[f"{m.value}-{v}-{e}" for m, v, e, _, _ in FROZEN_FRONTIER],
+)
+def test_frontier_class_lists_are_frozen(mode, vertices, edges, count, digest):
+    """Frontier cells, each with a labeled universe of millions of rows."""
+    classes = enumerate_by_counts(vertices, edges, mode=mode, cap=10**6)
+    edge_lists = [cls.skeleton.edges for cls in classes]
+    assert len(edge_lists) == count
+    assert hashlib.sha256(repr(edge_lists).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "total, parts, dtype",
     [(0, 1, np.uint8), (0, 4, np.uint8), (3, 1, np.uint8), (4, 3, np.uint8), (5, 6, np.uint8),
@@ -211,30 +237,65 @@ def test_compositions_into_no_parts():
 
 
 def counted_sweep(monkeypatch, mode, vertices, edges):
-    """The filtered rows of a cell, its sweep's survivors and the block of
-    permutations handed to _act in each round."""
+    """The filtered rows of a cell, its sweep's survivors and, for each
+    round, the rows moved and the block of permutations handed to _act."""
     tables = _perm_tables(vertices)
     rows = _valence_filter(
         _labeled_universe(vertices, edges, mode, tables), vertices, mode, tables, False
     )
-    blocks = []
+    rounds = []
 
     def counting_act(*args):
-        blocks.append(args[3].tolist())
+        rounds.append((args[2].copy(), args[3].tolist()))
         return _act(*args)
 
     monkeypatch.setattr(enumeration, "_act", counting_act)
-    return rows, _bulk_survivors(rows, mode, tables), blocks
+    return rows, _bulk_survivors(rows, mode, tables), rounds
 
 
 def test_the_sweep_order_puts_fewer_moved_points_first():
-    """tables.sweep is every permutation but the identity, by how many
-    points it moves, ties in lex order."""
+    """tables.sweep_keep is every permutation but the identity that maps
+    {1, 2} onto itself, 2(V - 2)! - 1 of them, and tables.sweep_move every
+    other one, each by how many points it moves, ties in lex order."""
     for v in range(1, 7):
         tables = _perm_tables(v)
         moved = [sum(a != b for a, b in zip(g, range(1, v + 1))) for g in tables.perms]
-        expected = sorted(range(1, len(tables.perms)), key=lambda i: (moved[i], i))
-        assert tables.sweep.tolist() == expected
+        order = sorted(range(1, len(tables.perms)), key=lambda i: (moved[i], i))
+        keeps = [i for i in order if set(tables.perms[i][:2]) <= {1, 2}]
+        assert len(keeps) == (2 * math.factorial(v - 2) if v >= 2 else 1) - 1
+        assert tables.sweep_keep.tolist() == keeps
+        assert tables.sweep_move.tolist() == [i for i in order if i not in keeps]
+
+
+def permutation_puts_first(tables, g):
+    """The pair that the permutation g moves onto pair 0, (1, 2)."""
+    ends = sorted(tables.perms[g].index(u) + 1 for u in (1, 2))
+    return tables.pairs.index(tuple(ends))
+
+
+@given(data=st.data())
+def test_a_permutation_moving_pair_0_beats_or_fixes_no_untied_first_pair_row(data):
+    """A permutation that moves pair 0 puts another pair first (LITERAL), or
+    another pair's multiplicity (otherwise).  So it moves a first-pair row
+    to a less canonical one, in LITERAL mode always and otherwise unless the
+    pair it puts first ties the row's greatest multiplicity."""
+    v = data.draw(st.integers(2, 6), label="V")
+    mode = data.draw(st.sampled_from(MODES), label="mode")
+    tables = _perm_tables(v)
+    p = len(tables.pairs)
+    moving = [i for i, g in enumerate(tables.perms) if set(g[:2]) != {1, 2}]
+    if mode is SymmetryMode.LITERAL:
+        rest = data.draw(st.lists(st.integers(0, p - 1), max_size=6), label="rest")
+        row = np.array([0, *rest], dtype=np.uint8)
+    else:
+        rest = data.draw(st.lists(st.integers(0, 4), min_size=p - 1, max_size=p - 1), label="rest")
+        row = np.array([max([1, *rest]) + data.draw(st.integers(0, 1), label="lead"), *rest], dtype=np.uint8)
+    images = _keys(_act(tables, mode, row, np.array(moving, dtype=np.intp)))
+    for g, image in zip(moving, images):
+        if mode is SymmetryMode.LITERAL:
+            assert image > _keys(row)
+        elif row[permutation_puts_first(tables, g)] < row[0]:
+            assert image < _keys(row)
 
 
 @pytest.mark.parametrize(
@@ -247,14 +308,23 @@ def test_the_sweep_order_puts_fewer_moved_points_first():
 )
 def test_sweep_keeps_exactly_the_canonical_rows(monkeypatch, mode, vertices, edges):
     """A filtered row survives the sweep iff it decodes to the canonical
-    skeleton of a nonzero class, and the sweep moves the rows by each
-    permutation but the identity once, in sweep order, a block at a time."""
-    rows, survivors, blocks = counted_sweep(monkeypatch, mode, vertices, edges)
+    skeleton of a nonzero class.  The sweep first moves the rows by each
+    permutation that keeps pair 0 once, in sweep order, a block at a time;
+    after that a permutation moving pair 0 meets only rows (none in LITERAL
+    mode) whose multiplicity on the pair it moves there ties their greatest."""
+    rows, survivors, rounds = counted_sweep(monkeypatch, mode, vertices, edges)
     tables = _perm_tables(vertices)
     assert len(survivors)
-    assert sum(blocks, []) == tables.sweep.tolist()
+    keep = tables.sweep_keep.tolist()
+    n = next((i for i, (_, block) in enumerate(rounds) if block[0] not in keep), len(rounds))
+    assert sum((block for _, block in rounds[:n]), []) == keep
+    assert (n == len(rounds)) == (mode is SymmetryMode.LITERAL)
+    for moved, block in rounds[n:]:
+        assert not set(block) & set(keep)
+        for g in block:
+            assert (moved[:, permutation_puts_first(tables, g)] == moved.max(axis=1)).all()
     if (mode, vertices) == (SymmetryMode.EDGE_RENUMBERING, 6):
-        assert len(blocks) <= 10  # not one round per permutation: 719 of them
+        assert len(rounds) <= 15  # not one round per permutation: 719 of them
     expected = set()
     for skeleton in _skeletons(vertices, rows, mode, tables.pairs):
         cls = canonicalize(skeleton, mode)
@@ -266,18 +336,24 @@ def test_sweep_keeps_exactly_the_canonical_rows(monkeypatch, mode, vertices, edg
 
 
 @pytest.mark.parametrize(
-    "vertices, edges, budget", [(6, 4, 1 << 10), (7, 4, None)], ids=["6-4-small-blocks", "7-4"]
+    "vertices, edges, budget", [(6, 4, 1 << 8), (7, 4, 1 << 10)], ids=["6-4-small-blocks", "7-4"]
 )
 def test_the_sweep_stops_once_no_row_is_live(monkeypatch, vertices, edges, budget):
-    """A cell with no nonzero class ends its sweep in the round that drops
-    its last row, short of the end of the sweep."""
-    if budget is not None:
-        monkeypatch.setattr(enumeration, "_BLOCK_BYTES", budget)
-    rows, survivors, blocks = counted_sweep(monkeypatch, SymmetryMode.EDGE_RENUMBERING, vertices, edges)
-    sweep = _perm_tables(vertices).sweep.tolist()
+    """Two edge-renumbering cells with no nonzero class.  One row of each
+    survives every permutation that keeps pair 0, with pairs 0 and 1 tied,
+    so it meets the permutations that put pair 1 first, in sweep order, and
+    the sweep ends in the round that drops it, short of their end (in
+    blocks small enough to show it)."""
+    monkeypatch.setattr(enumeration, "_BLOCK_BYTES", budget)
+    rows, survivors, rounds = counted_sweep(monkeypatch, SymmetryMode.EDGE_RENUMBERING, vertices, edges)
+    tables = _perm_tables(vertices)
+    keep = tables.sweep_keep.tolist()
+    pair_1_first = [g for g in tables.sweep_move.tolist() if permutation_puts_first(tables, g) == 1]
     assert len(rows) and not len(survivors)
-    done = sum(blocks, [])
-    assert len(done) < len(sweep) and done == sweep[: len(done)]
+    done = sum((block for _, block in rounds), [])
+    rest = done[len(keep):]
+    assert done[: len(keep)] == keep
+    assert 0 < len(rest) < len(pair_1_first) and rest == pair_1_first[: len(rest)]
 
 
 @pytest.mark.parametrize(
@@ -319,16 +395,21 @@ SLICE_CELLS = [
     "mode, vertices, edges", SLICE_CELLS, ids=[f"{m.value}-{v}-{e}" for m, v, e in SLICE_CELLS]
 )
 def test_the_first_pair_slice_loses_no_canonical_row(mode, vertices, edges):
-    """The universe built is exactly the full universe's rows whose first
-    pair is (1, 2) (LITERAL) or whose first entry is their greatest
-    (otherwise), in strictly ascending key order, and the sweep keeps the
-    same rows of both, trivalent or not."""
+    """The universe built is a subset of the full universe's first-pair
+    rows: exactly the rows whose first pair is (1, 2) and whose second is
+    (1, 2), (1, 3) or (3, 4) (LITERAL), or whose first entry is their
+    greatest (otherwise), in strictly ascending key order.  The sweep keeps
+    the same rows of it as of the full universe, trivalent or not."""
     tables = _perm_tables(vertices)
     full = full_universe(vertices, edges, mode)
     part = _labeled_universe(vertices, edges, mode, tables)
-    first = full[:, 0] == (0 if mode is SymmetryMode.LITERAL else full.max(axis=1))
+    if mode is SymmetryMode.LITERAL:
+        second = [tables.pairs.index(pair) for pair in ((1, 2), (1, 3), (3, 4)) if pair[1] <= vertices]
+        built = (full[:, 0] == 0) & (np.isin(full[:, 1], second) if edges > 1 else True)
+    else:
+        built = full[:, 0] == full.max(axis=1)
     assert part.dtype == full.dtype
-    assert part.tolist() == full[first].tolist()
+    assert part.tolist() == full[built].tolist()
     keys = _keys(part)
     assert (keys[:-1] < keys[1:]).all()
     for trivalent in (False, True) if 2 * edges == 3 * vertices else (False,):
