@@ -89,7 +89,8 @@ def _universe_size(v: int, e: int, mode: SymmetryMode) -> int:
 def _stacked(heads, tails: list[np.ndarray], dtype) -> np.ndarray:
     """The rows (head, *tail) for each head and each row of its block of tails, in order."""
     out, at = np.empty((sum(map(len, tails)), 1 + tails[0].shape[1]), dtype), 0
-    for head, tail in zip(heads, tails):  # each block copied once, straight into place
+    for i, head in enumerate(heads):  # each block copied once, straight into place, then let go
+        tail, tails[i] = tails[i], None
         out[at : at + len(tail), 0], out[at : at + len(tail), 1:] = head, tail
         at += len(tail)
     return out
@@ -127,19 +128,22 @@ def _labeled_universe(v: int, e: int, mode: SymmetryMode, tables) -> np.ndarray:
     """
     p = len(tables.pairs)
     if mode is SymmetryMode.LITERAL:
-        digits = [[0], [d for d in (0, 1, 2 * v - 3) if d < p]] + [range(p)] * (e - 2)
-        grid = np.meshgrid(*(np.array(d, np.uint8) for d in digits[:e]), indexing="ij", copy=False)
-        return np.stack(grid, axis=-1).reshape(-1, e)
+        second = [d for d in (0, 1, 2 * v - 3) if d < p]
+        columns = [np.array(d, np.uint8) for d in [[0], second] + [range(p)] * (e - 2)][:e]
+        sizes = [len(digits) for digits in columns]
+        arr = np.empty((math.prod(sizes), e), dtype=np.uint8)
+        for col, digits in enumerate(columns):  # ascending: each digit once per row of the columns after
+            arr[:, col] = np.tile(np.repeat(digits, math.prod(sizes[col + 1 :])), math.prod(sizes[:col]))
+        return arr
     heads = range(-(-e // p), e + 1)  # the greatest of p entries summing to E is at least E/p
     return _stacked(heads, [_compositions(e - m, p - 1, m) for m in heads], np.min_scalar_type(e))
 
 
 def _valence_filter(arr: np.ndarray, v: int, mode: SymmetryMode, tables, trivalent: bool) -> np.ndarray:
     """Keep rows where every vertex is touched (or has valence exactly 3)
-    whose first pair is (1, 2) (LITERAL), or whose first entry is their
-    greatest and whose multiplicities of (1, 3), ..., (1, V) do not increase
-    (otherwise): a transposition of two vertices in 3..V sorts those, so it
-    beats a row where they increase."""
+    that no permutation beats at a glance: pair (1, 2) first (LITERAL), or
+    greatest with the multiplicities of (1, 3), ..., (1, V) not increasing
+    (otherwise), since a transposition of two vertices in 3..V sorts those."""
     if mode is SymmetryMode.LITERAL:
         keep = arr[:, 0] == 0
     else:  # column by column, as a reduction along short rows is slow
@@ -181,13 +185,8 @@ def _sweep(live: np.ndarray, mode: SymmetryMode, tables, perms: np.ndarray) -> n
 
 
 def _bulk_survivors(arr: np.ndarray, mode: SymmetryMode, tables) -> np.ndarray:
-    """The canonical nonzero rows of rows that passed _valence_filter, in arr's order.
-
-    Every row meets tables.sweep_keep.  In EDGE_RENUMBERING mode each
-    permutation of tables.sweep_move then meets only the rows whose
-    multiplicity on the pair it puts first ties their greatest, the only
-    rows it can beat or fix; in LITERAL mode it can beat or fix none.
-    """
+    """The canonical nonzero rows of rows that passed _valence_filter, in arr's
+    order: each meets the permutations that can beat or fix it (module docstring)."""
     live = _sweep(arr, mode, tables, tables.sweep_keep)
     if mode is SymmetryMode.LITERAL:
         return live

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import runpy
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from graphcoh.enumeration import (
     _bulk_survivors,
     _compositions,
     _labeled_universe,
+    _stacked,
     _universe_size,
     _valence_filter,
     enumerate_by_counts,
@@ -234,6 +236,16 @@ def test_compositions_into_no_parts():
     """Zero parts sum to zero in one way: the tail of a V = 2 row."""
     assert _compositions(0, 0, 5).shape == (1, 0)
     assert _compositions(2, 0, 5).shape == (0, 0)
+
+
+def test_stacking_lets_go_of_each_block_of_tails():
+    """_stacked drops each block from the list it was handed once the block
+    is copied, so a block held nowhere else does not outlive the call."""
+    tails = [np.array([[1, 2]], np.uint8), np.empty((0, 2), np.uint8), np.array([[3, 4], [5, 6]], np.uint8)]
+    refs = [weakref.ref(tail) for tail in tails]
+    out = _stacked([7, 8, 9], tails, np.uint8)
+    assert out.dtype == np.uint8 and out.tolist() == [[7, 1, 2], [9, 3, 4], [9, 5, 6]]
+    assert all(tail is None for tail in tails) and all(ref() is None for ref in refs)
 
 
 def counted_sweep(monkeypatch, mode, vertices, edges):
