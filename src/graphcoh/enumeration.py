@@ -7,10 +7,11 @@ over the pairs.  A class is kept when its labeled representative is the
 canonical one (no vertex permutation reaches a lexicographically smaller
 flattened edge list) and no self-symmetry carries sign -1.  Some vertex
 permutation moves any edge onto the pair (1, 2), pair 0, so only rows with
-pair 0 first (LITERAL) or greatest (otherwise) can be canonical; the same
-argument one pair further cuts the rows built (_labeled_universe) and kept
-for the sweep (_valence_filter, whose mask holds both conditions, so the
-sweep stays exact on rows of the full universe).
+pair 0 first (LITERAL) or greatest (otherwise) can be canonical, and the
+same argument one pair further cuts the rows built.  _labeled_universe
+alone states these conditions and builds only the rows that meet them;
+_valence_filter then checks valence only, and the sweep is exact on the
+rows of that slice.
 
 One vectorized sweep (_sweep) serves every cell: the live rows meet a
 block of vertex permutations at a time, each permuted row compared with
@@ -28,14 +29,14 @@ transpositions first, since the cheapest moves kill most rows.  Each
 block moves about _BLOCK_BYTES of rows, so blocks grow as rows die, and
 the sweep ends once no row is live.  Rows that survive every permutation
 are the canonical nonzero ones.  The slice is built in ascending row
-order and only masked after, so one canonical._skeletons call decodes
-them in sorted order: in row order in LITERAL mode, reversed otherwise
-(the greatest multiplicity vector is the least edge list).  The connected
-filter reads the skeletons.  The classes of the _RECENT_CELLS most
-recently used cells are kept, keyed by (V, E, connected, trivalent,
-mode), so a cell asked for again, as delta_matrix does for the codomain
-of one degree and the domain of the next, is swept once; each call
-returns its own list.
+order, which the filter and the sweep keep, so one canonical._skeletons
+call decodes them in sorted order: in row order in LITERAL mode,
+reversed otherwise (the greatest multiplicity vector is the least edge
+list).  The connected filter reads the skeletons.  The classes of the
+_RECENT_CELLS most recently used cells are kept, keyed by (V, E,
+connected, trivalent, mode), so a cell asked for again, as delta_matrix
+does for the codomain of one degree and the domain of the next, is swept
+once; each call returns its own list.
 
 Enumeration refuses to start when the full labeled universe, not the rows
 built, would exceed a multiple of the configured class cap, or when V > 8
@@ -86,36 +87,6 @@ def _universe_size(v: int, e: int, mode: SymmetryMode) -> int:
     return math.comb(e + p - 1, p - 1)
 
 
-def _stacked(heads, tails: list[np.ndarray], dtype) -> np.ndarray:
-    """The rows (head, *tail) for each head and each row of its block of tails, in order."""
-    out, at = np.empty((sum(map(len, tails)), 1 + tails[0].shape[1]), dtype), 0
-    for i, head in enumerate(heads):  # each block copied once, straight into place, then let go
-        tail, tails[i] = tails[i], None
-        out[at : at + len(tail), 0], out[at : at + len(tail), 1:] = head, tail
-        at += len(tail)
-    return out
-
-
-def _compositions(total: int, parts: int, bound: int | None = None) -> np.ndarray:
-    """All ways to write `total` as an ordered sum of `parts` naturals, each at
-    most `bound` (default `total`), in ascending order and in the least
-    unsigned dtype holding `total` (uint8 up to 255).
-
-    Built bottom-up: level k maps each sum of the last k parts that the first
-    parts - k can still complete to its compositions, (head, tail) over
-    ascending heads with the tails from level k - 1.
-    """
-    bound = total if bound is None else bound
-    dtype = np.min_scalar_type(total)
-    level = {0: np.empty((1, 0), dtype)}
-    for k in range(1, parts + 1):
-        below, level = level, {}
-        for t in range(max(0, total - bound * (parts - k)), min(total, bound * k) + 1):
-            heads = range(max(0, t - bound * (k - 1)), min(t, bound) + 1)
-            level[t] = _stacked(heads, [below[t - head] for head in heads], dtype)
-    return level.get(total, np.empty((0, parts), dtype))
-
-
 def _labeled_universe(v: int, e: int, mode: SymmetryMode, tables) -> np.ndarray:
     """The slice of the labeled universe that is built, in ascending row order.
 
@@ -124,7 +95,12 @@ def _labeled_universe(v: int, e: int, mode: SymmetryMode, tables) -> np.ndarray:
     multiplicity vector has its greatest entry on pair 0 (otherwise): only
     those rows can be canonical.  A permutation keeping pair 0 then moves the
     second pair of a sequence onto (1, 2), (1, 3) or (3, 4), pair ids 0, 1 and
-    2V - 3, so only the sequences with one of those second are built.
+    2V - 3, so only the sequences with one of those second are built; and a
+    transposition of two vertices in 3..V sorts the multiplicities of (1, 3),
+    ..., (1, V), pair ids 1..V - 2, so only the vectors where those do not
+    increase are built.  Vectors grow a column at a time, each row by every
+    value, ascending, that the entry bounding it allows and that leaves no
+    more than the columns after it can hold, so each finished row sums to E.
     """
     p = len(tables.pairs)
     if mode is SymmetryMode.LITERAL:
@@ -135,23 +111,25 @@ def _labeled_universe(v: int, e: int, mode: SymmetryMode, tables) -> np.ndarray:
         for col, digits in enumerate(columns):  # ascending: each digit once per row of the columns after
             arr[:, col] = np.tile(np.repeat(digits, math.prod(sizes[col + 1 :])), math.prod(sizes[:col]))
         return arr
-    heads = range(-(-e // p), e + 1)  # the greatest of p entries summing to E is at least E/p
-    return _stacked(heads, [_compositions(e - m, p - 1, m) for m in heads], np.min_scalar_type(e))
+    dtype = np.min_scalar_type(e)
+    rows = np.arange(-(-e // p), e + 1, dtype=dtype)[:, None]  # the greatest of p entries summing to E is at least E/p
+    left = e - rows[:, 0]  # what the columns still to build sum to
+    for col in range(1, p):
+        m = rows[:, 0]
+        hi = np.minimum(rows[:, col - 1] if col < v - 1 else m, left)
+        lo = left - np.minimum(left, np.multiply(m, p - 1 - col, dtype=np.intp))  # what the columns after cannot hold
+        counts = np.maximum(hi - lo + 1, 0)
+        value = np.repeat(lo - np.cumsum(counts) + counts, counts)  # lo, less the index of the row's first extension
+        value += np.arange(len(value))
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), value.astype(dtype)])
+        left = np.repeat(left, counts) - rows[:, col]
+    return rows
 
 
 def _valence_filter(arr: np.ndarray, v: int, mode: SymmetryMode, tables, trivalent: bool) -> np.ndarray:
-    """Keep rows where every vertex is touched (or has valence exactly 3)
-    that no permutation beats at a glance: pair (1, 2) first (LITERAL), or
-    greatest with the multiplicities of (1, 3), ..., (1, V) not increasing
-    (otherwise), since a transposition of two vertices in 3..V sorts those."""
-    if mode is SymmetryMode.LITERAL:
-        keep = arr[:, 0] == 0
-    else:  # column by column, as a reduction along short rows is slow
-        keep = np.ones(len(arr), dtype=bool)
-        for col in range(1, arr.shape[1]):
-            keep &= arr[:, col] <= arr[:, 0]
-            if col < v - 2:
-                keep &= arr[:, col] >= arr[:, col + 1]
+    """Keep the rows where every vertex is touched (or has valence exactly 3):
+    given rows of the slice (_labeled_universe), the sweep's input."""
+    keep = np.ones(len(arr), dtype=bool)
     for u in range(1, v + 1):
         at_u = np.array([u in pair for pair in tables.pairs])
         if mode is SymmetryMode.LITERAL:
@@ -185,8 +163,9 @@ def _sweep(live: np.ndarray, mode: SymmetryMode, tables, perms: np.ndarray) -> n
 
 
 def _bulk_survivors(arr: np.ndarray, mode: SymmetryMode, tables) -> np.ndarray:
-    """The canonical nonzero rows of rows that passed _valence_filter, in arr's
-    order: each meets the permutations that can beat or fix it (module docstring)."""
+    """The canonical nonzero rows among rows of the slice (_labeled_universe),
+    in arr's order: each meets the permutations that can beat or fix it
+    (module docstring), which only holds for rows of the slice."""
     live = _sweep(arr, mode, tables, tables.sweep_keep)
     if mode is SymmetryMode.LITERAL:
         return live

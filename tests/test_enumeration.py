@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import math
 import runpy
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +13,20 @@ from hypothesis import strategies as st
 
 import oracles
 from graphcoh import enumeration
-from graphcoh.canonical import GraphClass, _act, _keys, _perm_tables, _rows_of, _skeletons, canonicalize
+from graphcoh.canonical import (
+    GraphClass,
+    _act,
+    _keys,
+    _perm_tables,
+    _rows_of,
+    _skeletons,
+    canonical_rows,
+    canonicalize,
+)
 from graphcoh.enumeration import (
     DEFAULT_CAP,
     _bulk_survivors,
-    _compositions,
     _labeled_universe,
-    _stacked,
-    _universe_size,
     _valence_filter,
     enumerate_by_counts,
     enumerate_grading,
@@ -55,6 +60,12 @@ def full_universe(v, e, mode):
     else:
         rows, dtype = stars_and_bars(e, p), np.min_scalar_type(e)
     return np.array(rows, dtype=dtype)
+
+
+def full_universe_size(v, e, mode):
+    """The number of rows of full_universe: p^E sequences, or C(E + p - 1, p - 1) vectors."""
+    p = v * (v - 1) // 2
+    return p**e if mode is SymmetryMode.LITERAL else math.comb(e + p - 1, p - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +172,7 @@ def test_class_lists_are_frozen():
     for mode in MODES:
         for v in range(2, 9):
             for e in range((v + 1) // 2, 3 * v // 2 + 2):
-                if _universe_size(v, e, mode) > 20_000:
+                if full_universe_size(v, e, mode) > 20_000:
                     continue
                 for trivalent in (False, True) if 2 * e == 3 * v else (False,):
                     for connected in (False, True):
@@ -196,56 +207,6 @@ def test_frontier_class_lists_are_frozen(mode, vertices, edges, count, digest):
     edge_lists = [cls.skeleton.edges for cls in classes]
     assert len(edge_lists) == count
     assert hashlib.sha256(repr(edge_lists).encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize(
-    "total, parts, dtype",
-    [(0, 1, np.uint8), (0, 4, np.uint8), (3, 1, np.uint8), (4, 3, np.uint8), (5, 6, np.uint8),
-     (255, 2, np.uint8), (256, 2, np.uint16), (300, 3, np.uint16)],
-)
-def test_compositions_match_stars_and_bars(total, parts, dtype):
-    """Every composition in the order of its bar positions, in the least
-    unsigned dtype holding the total; blocks of smaller totals, held in a
-    narrower dtype, land in the wide one unchanged."""
-    slots = total + parts - 1
-    expected = [
-        [b - a - 1 for a, b in zip((-1, *bars), (*bars, slots))]
-        for bars in itertools.combinations(range(slots), parts - 1)
-    ]
-    got = _compositions(total, parts)
-    assert got.dtype == dtype
-    assert got.tolist() == expected
-
-
-@pytest.mark.parametrize(
-    "total, parts, bound",
-    [(0, 3, 0), (4, 3, 0), (5, 3, 2), (6, 3, 2), (7, 3, 2), (4, 3, 4), (4, 3, 9),
-     (3, 1, 3), (3, 1, 2), (256, 2, 200), (300, 3, 120)],
-)
-def test_bounded_compositions_match_filtered_stars_and_bars(total, parts, bound):
-    """Only the compositions whose parts are all at most the bound, in the
-    same order and dtype: none at all once total > parts * bound."""
-    expected = [row for row in stars_and_bars(total, parts) if max(row) <= bound]
-    got = _compositions(total, parts, bound)
-    assert got.dtype == np.min_scalar_type(total)
-    assert got.shape == (len(expected), parts)
-    assert got.tolist() == expected
-
-
-def test_compositions_into_no_parts():
-    """Zero parts sum to zero in one way: the tail of a V = 2 row."""
-    assert _compositions(0, 0, 5).shape == (1, 0)
-    assert _compositions(2, 0, 5).shape == (0, 0)
-
-
-def test_stacking_lets_go_of_each_block_of_tails():
-    """_stacked drops each block from the list it was handed once the block
-    is copied, so a block held nowhere else does not outlive the call."""
-    tails = [np.array([[1, 2]], np.uint8), np.empty((0, 2), np.uint8), np.array([[3, 4], [5, 6]], np.uint8)]
-    refs = [weakref.ref(tail) for tail in tails]
-    out = _stacked([7, 8, 9], tails, np.uint8)
-    assert out.dtype == np.uint8 and out.tolist() == [[7, 1, 2], [9, 3, 4], [9, 5, 6]]
-    assert all(tail is None for tail in tails) and all(ref() is None for ref in refs)
 
 
 def counted_sweep(monkeypatch, mode, vertices, edges):
@@ -368,50 +329,28 @@ def test_the_sweep_stops_once_no_row_is_live(monkeypatch, vertices, edges, budge
     assert 0 < len(rest) < len(pair_1_first) and rest == pair_1_first[: len(rest)]
 
 
-@pytest.mark.parametrize(
-    "mode, vertices, edges",
-    [
-        (SymmetryMode.LITERAL, 4, 5),
-        (SymmetryMode.EDGE_RENUMBERING, 5, 6),
-        (SymmetryMode.EDGE_RENUMBERING, 6, 5),
-    ],
-)
-def test_sweep_keeps_exactly_the_canonical_rows_of_the_full_universe(mode, vertices, edges):
-    """On the whole universe, rows outside the first-pair slice included, a
-    filtered row survives the sweep iff it decodes to the canonical
-    skeleton of a nonzero class."""
-    tables = _perm_tables(vertices)
-    rows = _valence_filter(full_universe(vertices, edges, mode), vertices, mode, tables, False)
-    survivors = _bulk_survivors(rows, mode, tables)
-    expected = set()
-    for skeleton in _skeletons(vertices, rows, mode, tables.pairs):
-        cls = canonicalize(skeleton, mode)
-        if cls.skeleton == skeleton and not cls.is_zero:
-            expected.add(skeleton)
-    got = set(_skeletons(vertices, survivors, mode, tables.pairs))
-    assert len(got) == len(survivors)
-    assert got == expected
-
-
-# Every call of test_class_lists_are_frozen's range whose full universe has at most 20,000 rows.
+# Every call of test_class_lists_are_frozen's range whose full universe has at
+# most 20,000 rows, and three edge-renumbering cells whose rows need uint16.
 SLICE_CELLS = [
     (mode, v, e)
     for mode in MODES
     for v in range(2, 9)
     for e in range((v + 1) // 2, 3 * v // 2 + 2)
-    if _universe_size(v, e, mode) <= 20_000
-]
+    if full_universe_size(v, e, mode) <= 20_000
+] + [(SymmetryMode.EDGE_RENUMBERING, v, e) for v, e in ((2, 256), (3, 256), (3, 300))]
 
 
 @pytest.mark.parametrize(
     "mode, vertices, edges", SLICE_CELLS, ids=[f"{m.value}-{v}-{e}" for m, v, e in SLICE_CELLS]
 )
 def test_the_first_pair_slice_loses_no_canonical_row(mode, vertices, edges):
-    """The universe built is a subset of the full universe's first-pair
-    rows: exactly the rows whose first pair is (1, 2) and whose second is
-    (1, 2), (1, 3) or (3, 4) (LITERAL), or whose first entry is their
-    greatest (otherwise), in strictly ascending key order.  The sweep keeps
-    the same rows of it as of the full universe, trivalent or not."""
+    """The universe built is exactly the full universe's rows whose first
+    pair is (1, 2) and whose second is (1, 2), (1, 3) or (3, 4) (LITERAL),
+    or whose first entry is their greatest and whose entries 1..V - 2, on
+    (1, 3), ..., (1, V), do not increase (otherwise), in its dtype and in
+    strictly ascending key order.  The sweep keeps exactly the rows of the
+    full universe, trivalent or not, that canonical_rows maps to themselves
+    and does not flag as zero."""
     tables = _perm_tables(vertices)
     full = full_universe(vertices, edges, mode)
     part = _labeled_universe(vertices, edges, mode, tables)
@@ -419,17 +358,17 @@ def test_the_first_pair_slice_loses_no_canonical_row(mode, vertices, edges):
         second = [tables.pairs.index(pair) for pair in ((1, 2), (1, 3), (3, 4)) if pair[1] <= vertices]
         built = (full[:, 0] == 0) & (np.isin(full[:, 1], second) if edges > 1 else True)
     else:
-        built = full[:, 0] == full.max(axis=1)
+        built = (full[:, 0] == full.max(axis=1)) & (np.diff(full[:, 1 : vertices - 1].astype(int)) <= 0).all(axis=1)
     assert part.dtype == full.dtype
     assert part.tolist() == full[built].tolist()
     keys = _keys(part)
     assert (keys[:-1] < keys[1:]).all()
     for trivalent in (False, True) if 2 * edges == 3 * vertices else (False,):
-        full_kept, part_kept = (
-            _bulk_survivors(_valence_filter(rows, vertices, mode, tables, trivalent), mode, tables)
-            for rows in (full, part)
-        )
-        assert full_kept.tolist() == part_kept.tolist()
+        rows = _valence_filter(full, vertices, mode, tables, trivalent)
+        best, _, _, zero = canonical_rows(tables, mode, rows, np.zeros(len(rows), dtype=np.int64))
+        canonical = rows[(best == rows).all(axis=1) & ~zero]
+        kept = _bulk_survivors(_valence_filter(part, vertices, mode, tables, trivalent), mode, tables)
+        assert kept.tolist() == canonical.tolist()
 
 
 def dimension_table_sweep():
