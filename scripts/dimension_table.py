@@ -4,8 +4,9 @@
 Sweeps every grading of non-positive degree realizable below a vertex
 bound and prints one row per cell: vertex/edge counts, the number of
 basis classes, the exact rank of the coboundary matrix out of that cell,
-and the dimension of its kernel.  Cells whose candidate universe exceeds
-the safety cap are reported as skipped rather than attempted.
+and the dimension of its kernel.  Cells that enumeration refuses (more
+classes than the cap, more rows built than a multiple of it, or V > 8)
+are reported as skipped, with the refusal's reason.
 
 Example:
     python3 scripts/dimension_table.py --mode edge-renumbering --max-vertices 6

@@ -32,7 +32,7 @@ from .decorated import (
     is_cocycle_decorated,
     parse_decoration_lines,
 )
-from .enumeration import enumerate_grading, enumerate_trivalent
+from .enumeration import _ROWS_FACTOR, enumerate_grading, enumerate_trivalent
 from .errors import GraphCohError, _data_lines
 from .graphs import (
     GraphSkeleton,
@@ -486,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mode", choices=[m.value for m in SymmetryMode], default="literal",
                            help="symmetry mode (default literal)")
         if cap:
-            p.add_argument("--cap", type=int, default=None, help="basis size cap")
+            p.add_argument("--cap", type=int, default=None,
+                           help=f"basis size cap; enumeration also refuses past {_ROWS_FACTOR} x cap rows built")
         p.add_argument("--out", default=None, help="write the report to this file")
         p.add_argument("--json", dest="json_out", default=None,
                        help="also write a JSON mirror of the report")

@@ -38,11 +38,14 @@ connected, trivalent, mode), so a cell asked for again, as delta_matrix
 does for the codomain of one degree and the domain of the next, is swept
 once; each call returns its own list.
 
-Enumeration refuses to start when the full labeled universe, not the rows
-built, would exceed a multiple of the configured class cap, or when V > 8
-puts the exhaustive permutation sweep out of reach (BasisTooLarge), so
-hopeless requests fail fast instead of grinding; the class count is
-checked against the cap on every call, kept cells included.
+Enumeration refuses (BasisTooLarge) when V > 8 puts the exhaustive
+permutation sweep out of reach, and when the slice would hold more than
+_ROWS_FACTOR times the configured class cap in rows: _labeled_universe
+counts the rows it is about to hold, all at once in LITERAL mode and
+column by column otherwise, and refuses before it allocates them, naming
+the count reached.  The class count is checked against the cap on every
+call, kept cells included; without the connected filter each surviving
+row is one class, so that check runs before the rows are decoded.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from .graphs import SymmetryMode, counts_for_grading, is_connected
 DEFAULT_CAP = 200_000
 _RECENT_CELLS = 4  # cells whose classes enumerate_by_counts keeps, the most recently used
 
-_UNIVERSE_FACTOR = 50  # labeled universe may be this many times the cap
+_ROWS_FACTOR = 50  # the slice built may hold this many times the cap in rows
 _RECENT: dict[tuple, list[GraphClass]] = {}  # (V, E, connected, trivalent, mode) -> its classes
 
 
@@ -80,14 +83,17 @@ def resolve_cap(cap: int | None = None) -> int:
     return cap
 
 
-def _universe_size(v: int, e: int, mode: SymmetryMode) -> int:
-    p = v * (v - 1) // 2
-    if mode is SymmetryMode.LITERAL:
-        return p**e
-    return math.comb(e + p - 1, p - 1)
+def _refuse_rows(v: int, e: int, rows: int, cap: int) -> None:
+    if rows > _ROWS_FACTOR * cap:
+        raise BasisTooLarge(f"the slice built at V={v}, E={e} reaches {rows} rows", cap)
 
 
-def _labeled_universe(v: int, e: int, mode: SymmetryMode, tables) -> np.ndarray:
+def _refuse_classes(v: int, e: int, classes: int, cap: int) -> None:
+    if classes > cap:
+        raise BasisTooLarge(f"{classes} classes at V={v}, E={e} exceed the cap", cap)
+
+
+def _labeled_universe(v: int, e: int, mode: SymmetryMode, tables, *, cap: int = DEFAULT_CAP) -> np.ndarray:
     """The slice of the labeled universe that is built, in ascending row order.
 
     Some vertex permutation moves any pair onto pair 0, (1, 2).  So the least
@@ -101,12 +107,15 @@ def _labeled_universe(v: int, e: int, mode: SymmetryMode, tables) -> np.ndarray:
     increase are built.  Vectors grow a column at a time, each row by every
     value, ascending, that the entry bounding it allows and that leaves no
     more than the columns after it can hold, so each finished row sums to E.
+    Before the rows, or a column's extensions, are allocated, their count is
+    checked against _ROWS_FACTOR * cap (BasisTooLarge).
     """
     p = len(tables.pairs)
     if mode is SymmetryMode.LITERAL:
         second = [d for d in (0, 1, 2 * v - 3) if d < p]
         columns = [np.array(d, np.uint8) for d in [[0], second] + [range(p)] * (e - 2)][:e]
         sizes = [len(digits) for digits in columns]
+        _refuse_rows(v, e, math.prod(sizes), cap)
         arr = np.empty((math.prod(sizes), e), dtype=np.uint8)
         for col, digits in enumerate(columns):  # ascending: each digit once per row of the columns after
             arr[:, col] = np.tile(np.repeat(digits, math.prod(sizes[col + 1 :])), math.prod(sizes[:col]))
@@ -119,6 +128,7 @@ def _labeled_universe(v: int, e: int, mode: SymmetryMode, tables) -> np.ndarray:
         hi = np.minimum(rows[:, col - 1] if col < v - 1 else m, left)
         lo = left - np.minimum(left, np.multiply(m, p - 1 - col, dtype=np.intp))  # what the columns after cannot hold
         counts = np.maximum(hi - lo + 1, 0)
+        _refuse_rows(v, e, int(counts.sum()), cap)
         value = np.repeat(lo - np.cumsum(counts) + counts, counts)  # lo, less the index of the row's first extension
         value += np.arange(len(value))
         rows = np.column_stack([np.repeat(rows, counts, axis=0), value.astype(dtype)])
@@ -189,8 +199,8 @@ def enumerate_by_counts(
 ) -> list[GraphClass]:
     """All nonzero classes with the given vertex and edge counts, sorted.
 
-    The refusal bound counts the full labeled universe (_universe_size), of
-    which only part of the first-pair slice is built.
+    Refused (BasisTooLarge) past V = 8, when the slice built would hold more
+    than _ROWS_FACTOR * cap rows, or when more than cap classes remain.
     """
     cap = resolve_cap(cap)
     v, e = vertex_count, edge_count
@@ -198,11 +208,6 @@ def enumerate_by_counts(
         return []
     if trivalent and 2 * e != 3 * v:
         return []
-    universe = _universe_size(v, e, mode)
-    if universe > _UNIVERSE_FACTOR * cap:
-        raise BasisTooLarge(
-            f"labeled universe at V={v}, E={e} has {universe} candidates", cap
-        )
     if v > _LARGE_FACTORIAL_GUARD:
         raise BasisTooLarge(
             f"V={v} needs a {math.factorial(v)}-permutation sweep per candidate, "
@@ -214,16 +219,15 @@ def enumerate_by_counts(
     if classes is None:
         tables = _perm_tables(v)
         rows = _bulk_survivors(
-            _valence_filter(_labeled_universe(v, e, mode, tables), v, mode, tables, trivalent), mode, tables)
+            _valence_filter(_labeled_universe(v, e, mode, tables, cap=cap), v, mode, tables, trivalent), mode, tables)
+        if not connected:  # each row is one class: refuse before decoding them
+            _refuse_classes(v, e, len(rows), cap)
         skeletons = _skeletons(v, rows if mode is SymmetryMode.LITERAL else rows[::-1], mode, tables.pairs)
         classes = [GraphClass(g, 1, mode) for g in skeletons if not connected or is_connected(g)]
     _RECENT[key] = classes
     if len(_RECENT) > _RECENT_CELLS:
         del _RECENT[next(iter(_RECENT))]
-    if len(classes) > cap:
-        raise BasisTooLarge(
-            f"{len(classes)} classes at V={v}, E={e} exceed the cap", cap
-        )
+    _refuse_classes(v, e, len(classes), cap)
     return list(classes)
 
 

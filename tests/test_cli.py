@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import graphcoh
-from graphcoh import cli
+from graphcoh import cli, enumeration
 from graphcoh.canonical import canonicalize
 from graphcoh.cli import main
 from graphcoh.coboundary import Cochain, delta
@@ -91,6 +91,13 @@ def test_enumerate_report_is_exact(capsys):
         "1 2\n"
         "1 2\n"
     )
+
+
+def test_enumerate_reaches_literal_six_six_at_the_default_cap(capsys, monkeypatch):
+    monkeypatch.setattr(enumeration, "_RECENT", {})  # build the rows here, not read a kept cell
+    rc, out, _ = run_cli(capsys, "enumerate", "--order", "0", "--degree", "-6")
+    assert rc == 0
+    assert out.splitlines()[3] == "# classes 9015"
 
 
 def test_enumerate_is_deterministic(capsys):

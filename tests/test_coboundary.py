@@ -657,7 +657,7 @@ def test_a_bounded_memo_still_gives_every_entry(monkeypatch):
 
 def test_delta_of_a_class_from_a_refused_cell_never_enumerates(monkeypatch):
     with pytest.raises(BasisTooLarge):
-        enumeration.enumerate_by_counts(6, 6)
+        enumeration.enumerate_by_counts(6, 8)
 
     def refuse(*args, **kwargs):
         raise AssertionError("delta enumerated a cell")
@@ -665,9 +665,9 @@ def test_delta_of_a_class_from_a_refused_cell_never_enumerates(monkeypatch):
     monkeypatch.setattr(coboundary, "enumerate_grading", refuse)
     monkeypatch.setattr(enumeration, "enumerate_by_counts", refuse)
     monkeypatch.setattr(coboundary, "_COLUMNS", {})
-    cls = canonicalize(new_graph(6, [(1, 2), (1, 3), (1, 4), (4, 5), (4, 6), (2, 3)]))
+    cls = canonicalize(new_graph(6, [(1, 2), (1, 3), (1, 4), (4, 5), (4, 6), (2, 3), (5, 6), (2, 5)]))
     got = {c.skeleton.edges: v for c, v in delta(cls).terms.items()}
-    assert len(got) == 3
+    assert len(got) == 8
     assert got == oracles.delta_map(6, cls.skeleton.edges, "literal")
 
 

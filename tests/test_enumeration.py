@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import re
 import runpy
 from pathlib import Path
 
@@ -209,6 +210,26 @@ def test_frontier_class_lists_are_frozen(mode, vertices, edges, count, digest):
     assert hashlib.sha256(repr(edge_lists).encode()).hexdigest() == digest
 
 
+# Cells whose full universe holds more than 50 * DEFAULT_CAP rows, and whose slice fewer.
+DEFAULT_CAP_FRONTIER = [
+    cell for cell in FROZEN_FRONTIER
+    if cell[:3] in {(SymmetryMode.LITERAL, 6, 6), (SymmetryMode.EDGE_RENUMBERING, 7, 9),
+                    (SymmetryMode.EDGE_RENUMBERING, 8, 8)}
+]
+
+
+@pytest.mark.parametrize(
+    "mode, vertices, edges, count, digest", DEFAULT_CAP_FRONTIER,
+    ids=[f"{m.value}-{v}-{e}" for m, v, e, _, _ in DEFAULT_CAP_FRONTIER],
+)
+def test_frontier_cells_run_at_the_default_cap(monkeypatch, mode, vertices, edges, count, digest):
+    monkeypatch.setattr(enumeration, "_RECENT", {})  # build the rows here, not read a kept cell
+    classes = enumerate_by_counts(vertices, edges, mode=mode, cap=None)
+    edge_lists = [cls.skeleton.edges for cls in classes]
+    assert len(edge_lists) == count
+    assert hashlib.sha256(repr(edge_lists).encode()).hexdigest() == digest
+
+
 def counted_sweep(monkeypatch, mode, vertices, edges):
     """The filtered rows of a cell, its sweep's survivors and, for each
     round, the rows moved and the block of permutations handed to _act."""
@@ -340,6 +361,16 @@ SLICE_CELLS = [
 ] + [(SymmetryMode.EDGE_RENUMBERING, v, e) for v, e in ((2, 256), (3, 256), (3, 300))]
 
 
+def first_pair_slice(full, vertices, edges, mode, tables):
+    """The mask of full's rows whose first pair is (1, 2) and whose second is
+    (1, 2), (1, 3) or (3, 4) (LITERAL), or whose first entry is their
+    greatest and whose entries 1..V - 2 do not increase (otherwise)."""
+    if mode is SymmetryMode.LITERAL:
+        second = [tables.pairs.index(pair) for pair in ((1, 2), (1, 3), (3, 4)) if pair[1] <= vertices]
+        return (full[:, 0] == 0) & (np.isin(full[:, 1], second) if edges > 1 else True)
+    return (full[:, 0] == full.max(axis=1)) & (np.diff(full[:, 1 : vertices - 1].astype(int)) <= 0).all(axis=1)
+
+
 @pytest.mark.parametrize(
     "mode, vertices, edges", SLICE_CELLS, ids=[f"{m.value}-{v}-{e}" for m, v, e in SLICE_CELLS]
 )
@@ -354,11 +385,7 @@ def test_the_first_pair_slice_loses_no_canonical_row(mode, vertices, edges):
     tables = _perm_tables(vertices)
     full = full_universe(vertices, edges, mode)
     part = _labeled_universe(vertices, edges, mode, tables)
-    if mode is SymmetryMode.LITERAL:
-        second = [tables.pairs.index(pair) for pair in ((1, 2), (1, 3), (3, 4)) if pair[1] <= vertices]
-        built = (full[:, 0] == 0) & (np.isin(full[:, 1], second) if edges > 1 else True)
-    else:
-        built = (full[:, 0] == full.max(axis=1)) & (np.diff(full[:, 1 : vertices - 1].astype(int)) <= 0).all(axis=1)
+    built = first_pair_slice(full, vertices, edges, mode, tables)
     assert part.dtype == full.dtype
     assert part.tolist() == full[built].tolist()
     keys = _keys(part)
@@ -482,11 +509,64 @@ def test_determinism():
     ],
     ids=["by-counts", "trivalent"],
 )
-def test_huge_universe_is_rejected_up_front(build):
-    """Both entry points are refused by the universe bound before any
-    class is counted: the literal (4, 6) universe is 46,656 > 50 * cap."""
-    with pytest.raises(BasisTooLarge, match="labeled universe at V=4, E=6 has 46656 candidates"):
+def test_huge_universe_is_rejected_up_front(monkeypatch, build):
+    """Both entry points are refused by the rows bound before any class is
+    counted: the literal (4, 6) slice holds 3,888 rows > 50 * cap."""
+    monkeypatch.setattr(enumeration, "_RECENT", {})  # a kept cell is not checked on rows
+    with pytest.raises(BasisTooLarge, match="the slice built at V=4, E=6 reaches 3888 rows"):
         build()
+
+
+ROW_BOUND_CELLS = [(SymmetryMode.LITERAL, 3, 6), (SymmetryMode.LITERAL, 4, 5), (SymmetryMode.LITERAL, 4, 6),
+                   (SymmetryMode.EDGE_RENUMBERING, 5, 5), (SymmetryMode.EDGE_RENUMBERING, 5, 7),
+                   (SymmetryMode.EDGE_RENUMBERING, 6, 6)]
+
+
+@pytest.mark.parametrize(
+    "mode, vertices, edges", ROW_BOUND_CELLS, ids=[f"{m.value}-{v}-{e}" for m, v, e in ROW_BOUND_CELLS]
+)
+def test_the_rows_bound_is_fifty_times_the_cap(monkeypatch, mode, vertices, edges):
+    """With the slice's rows counted here on the full universe, a cap c =
+    ceil(rows / 50) lets the slice be built and c - 1 refuses it, naming a
+    count past 50 (c - 1) and no more than the rows."""
+    monkeypatch.setattr(enumeration, "_RECENT", {})  # a kept cell is not checked on rows
+    rows = int(first_pair_slice(full_universe(vertices, edges, mode), vertices, edges, mode,
+                                _perm_tables(vertices)).sum())
+    cap = -(-rows // 50)
+    assert cap > 1
+    message = rf"the slice built at V={vertices}, E={edges} reaches (\d+) rows"
+    with pytest.raises(BasisTooLarge, match=message) as info:
+        enumerate_by_counts(vertices, edges, mode=mode, cap=cap - 1)
+    assert 50 * (cap - 1) < int(re.search(message, str(info.value)).group(1)) <= rows
+    try:
+        enumerate_by_counts(vertices, edges, mode=mode, cap=cap)
+    except BasisTooLarge as exc:
+        assert re.search(r"\d+ classes at", str(exc)), exc
+
+
+def test_the_class_cap_is_checked_before_decoding(monkeypatch):
+    """Without the connected filter each surviving row is one class, so the
+    literal (4, 6) cell, 3,888 rows and 1,831 classes, is refused at cap
+    1,000 before a row is decoded; with it, all 1,831 rows are decoded and
+    the 1,815 connected classes counted."""
+    monkeypatch.setattr(enumeration, "_RECENT", {})
+
+    def no_decoding(*args):
+        raise AssertionError("rows were decoded")
+
+    monkeypatch.setattr(enumeration, "_skeletons", no_decoding)
+    with pytest.raises(BasisTooLarge, match="1831 classes at V=4, E=6 exceed the cap"):
+        enumerate_by_counts(4, 6, cap=1000)
+    decoded = []
+
+    def counting(*args):
+        decoded.append(len(args[1]))
+        return _skeletons(*args)
+
+    monkeypatch.setattr(enumeration, "_skeletons", counting)
+    with pytest.raises(BasisTooLarge, match="1815 classes at V=4, E=6 exceed the cap"):
+        enumerate_by_counts(4, 6, cap=1000, connected=True)
+    assert decoded == [1831]
 
 
 def test_class_count_refusal_names_the_count():
