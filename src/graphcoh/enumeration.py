@@ -32,24 +32,28 @@ are the canonical nonzero ones.  The slice is built in ascending row
 order, which the filter and the sweep keep, so one canonical._skeletons
 call decodes them in sorted order: in row order in LITERAL mode,
 reversed otherwise (the greatest multiplicity vector is the least edge
-list).  The connected filter reads the skeletons.  The classes of the
-_RECENT_CELLS most recently used cells are kept, keyed by (V, E,
-connected, trivalent, mode), so a cell asked for again, as delta_matrix
-does for the codomain of one degree and the domain of the next, is swept
-once; each call returns its own list.
+list).  The connected filter reads the skeletons.  _cell keeps the
+classes of the four most recently used cells in an lru_cache keyed by
+every argument, (V, E, connected, trivalent, mode, resolved cap), so a
+cell asked for again with the same arguments, as delta_matrix does for
+the codomain of one degree and the domain of the next, is swept once;
+each call returns its own list.
 
 Enumeration refuses (BasisTooLarge) when V > 8 puts the exhaustive
 permutation sweep out of reach, and when the slice would hold more than
 _ROWS_FACTOR times the configured class cap in rows: _labeled_universe
 counts the rows it is about to hold, all at once in LITERAL mode and
 column by column otherwise, and refuses before it allocates them, naming
-the count reached.  The class count is checked against the cap on every
-call, kept cells included; without the connected filter each surviving
-row is one class, so that check runs before the rows are decoded.
+the count reached.  Then more than cap classes are refused; without the
+connected filter each surviving row is one class, so that check runs
+before the rows are decoded.  The cap is part of the cache key and a
+refusal is never kept, so a call's classes, or the reason it is refused,
+depend on its arguments alone, not on the calls before it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -68,10 +72,8 @@ from .errors import BasisTooLarge
 from .graphs import SymmetryMode, counts_for_grading, is_connected
 
 DEFAULT_CAP = 200_000
-_RECENT_CELLS = 4  # cells whose classes enumerate_by_counts keeps, the most recently used
 
 _ROWS_FACTOR = 50  # the slice built may hold this many times the cap in rows
-_RECENT: dict[tuple, list[GraphClass]] = {}  # (V, E, connected, trivalent, mode) -> its classes
 
 
 def resolve_cap(cap: int | None = None) -> int:
@@ -188,6 +190,21 @@ def _bulk_survivors(arr: np.ndarray, mode: SymmetryMode, tables) -> np.ndarray:
     return live[~beaten]
 
 
+@functools.lru_cache(maxsize=4)
+def _cell(v: int, e: int, connected: bool, trivalent: bool, mode: SymmetryMode, cap: int) -> tuple[GraphClass, ...]:
+    """The classes of a non-degenerate cell with V <= 8, sorted, or its
+    refusal; the four most recently used argument tuples keep their classes."""
+    tables = _perm_tables(v)
+    rows = _bulk_survivors(
+        _valence_filter(_labeled_universe(v, e, mode, tables, cap=cap), v, mode, tables, trivalent), mode, tables)
+    if not connected:  # each row is one class: refuse before decoding them
+        _refuse_classes(v, e, len(rows), cap)
+    skeletons = _skeletons(v, rows if mode is SymmetryMode.LITERAL else rows[::-1], mode, tables.pairs)
+    classes = tuple(GraphClass(g, 1, mode) for g in skeletons if not connected or is_connected(g))
+    _refuse_classes(v, e, len(classes), cap)
+    return classes
+
+
 def enumerate_by_counts(
     vertex_count: int,
     edge_count: int,
@@ -200,7 +217,9 @@ def enumerate_by_counts(
     """All nonzero classes with the given vertex and edge counts, sorted.
 
     Refused (BasisTooLarge) past V = 8, when the slice built would hold more
-    than _ROWS_FACTOR * cap rows, or when more than cap classes remain.
+    than _ROWS_FACTOR * cap rows, or when more than cap classes remain.  The
+    classes come from _cell, whose cache keys them by every argument, the
+    resolved cap included, so the answer depends on the arguments alone.
     """
     cap = resolve_cap(cap)
     v, e = vertex_count, edge_count
@@ -214,21 +233,7 @@ def enumerate_by_counts(
             f"past the exhaustive-search bound (V <= {_LARGE_FACTORIAL_GUARD})"
         )
 
-    key = (v, e, connected, trivalent, mode)
-    classes = _RECENT.pop(key, None)
-    if classes is None:
-        tables = _perm_tables(v)
-        rows = _bulk_survivors(
-            _valence_filter(_labeled_universe(v, e, mode, tables, cap=cap), v, mode, tables, trivalent), mode, tables)
-        if not connected:  # each row is one class: refuse before decoding them
-            _refuse_classes(v, e, len(rows), cap)
-        skeletons = _skeletons(v, rows if mode is SymmetryMode.LITERAL else rows[::-1], mode, tables.pairs)
-        classes = [GraphClass(g, 1, mode) for g in skeletons if not connected or is_connected(g)]
-    _RECENT[key] = classes
-    if len(_RECENT) > _RECENT_CELLS:
-        del _RECENT[next(iter(_RECENT))]
-    _refuse_classes(v, e, len(classes), cap)
-    return list(classes)
+    return list(_cell(v, e, connected, trivalent, mode, cap))
 
 
 def enumerate_grading(

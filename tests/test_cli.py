@@ -93,8 +93,7 @@ def test_enumerate_report_is_exact(capsys):
     )
 
 
-def test_enumerate_reaches_literal_six_six_at_the_default_cap(capsys, monkeypatch):
-    monkeypatch.setattr(enumeration, "_RECENT", {})  # build the rows here, not read a kept cell
+def test_enumerate_reaches_literal_six_six_at_the_default_cap(capsys):
     rc, out, _ = run_cli(capsys, "enumerate", "--order", "0", "--degree", "-6")
     assert rc == 0
     assert out.splitlines()[3] == "# classes 9015"

@@ -24,6 +24,7 @@ from graphcoh.canonical import (
     canonical_rows,
     canonicalize,
 )
+from graphcoh.coboundary import delta_matrix
 from graphcoh.enumeration import (
     DEFAULT_CAP,
     _bulk_survivors,
@@ -222,8 +223,7 @@ DEFAULT_CAP_FRONTIER = [
     "mode, vertices, edges, count, digest", DEFAULT_CAP_FRONTIER,
     ids=[f"{m.value}-{v}-{e}" for m, v, e, _, _ in DEFAULT_CAP_FRONTIER],
 )
-def test_frontier_cells_run_at_the_default_cap(monkeypatch, mode, vertices, edges, count, digest):
-    monkeypatch.setattr(enumeration, "_RECENT", {})  # build the rows here, not read a kept cell
+def test_frontier_cells_run_at_the_default_cap(mode, vertices, edges, count, digest):
     classes = enumerate_by_counts(vertices, edges, mode=mode, cap=None)
     edge_lists = [cls.skeleton.edges for cls in classes]
     assert len(edge_lists) == count
@@ -509,10 +509,9 @@ def test_determinism():
     ],
     ids=["by-counts", "trivalent"],
 )
-def test_huge_universe_is_rejected_up_front(monkeypatch, build):
+def test_huge_universe_is_rejected_up_front(build):
     """Both entry points are refused by the rows bound before any class is
     counted: the literal (4, 6) slice holds 3,888 rows > 50 * cap."""
-    monkeypatch.setattr(enumeration, "_RECENT", {})  # a kept cell is not checked on rows
     with pytest.raises(BasisTooLarge, match="the slice built at V=4, E=6 reaches 3888 rows"):
         build()
 
@@ -525,11 +524,10 @@ ROW_BOUND_CELLS = [(SymmetryMode.LITERAL, 3, 6), (SymmetryMode.LITERAL, 4, 5), (
 @pytest.mark.parametrize(
     "mode, vertices, edges", ROW_BOUND_CELLS, ids=[f"{m.value}-{v}-{e}" for m, v, e in ROW_BOUND_CELLS]
 )
-def test_the_rows_bound_is_fifty_times_the_cap(monkeypatch, mode, vertices, edges):
+def test_the_rows_bound_is_fifty_times_the_cap(mode, vertices, edges):
     """With the slice's rows counted here on the full universe, a cap c =
     ceil(rows / 50) lets the slice be built and c - 1 refuses it, naming a
     count past 50 (c - 1) and no more than the rows."""
-    monkeypatch.setattr(enumeration, "_RECENT", {})  # a kept cell is not checked on rows
     rows = int(first_pair_slice(full_universe(vertices, edges, mode), vertices, edges, mode,
                                 _perm_tables(vertices)).sum())
     cap = -(-rows // 50)
@@ -549,7 +547,6 @@ def test_the_class_cap_is_checked_before_decoding(monkeypatch):
     literal (4, 6) cell, 3,888 rows and 1,831 classes, is refused at cap
     1,000 before a row is decoded; with it, all 1,831 rows are decoded and
     the 1,815 connected classes counted."""
-    monkeypatch.setattr(enumeration, "_RECENT", {})
 
     def no_decoding(*args):
         raise AssertionError("rows were decoded")
@@ -570,8 +567,8 @@ def test_the_class_cap_is_checked_before_decoding(monkeypatch):
 
 
 def test_class_count_refusal_names_the_count():
-    """The universe of (3, 4) is within 50 times either cap, so only the
-    count of the 13 classes decides."""
+    """The slice of (3, 4) holds 18 rows, within 50 times either cap, so
+    only the count of the 13 classes decides."""
     with pytest.raises(BasisTooLarge, match="13 classes at V=3, E=4") as info:
         enumerate_by_counts(3, 4, cap=2)
     assert info.value.cap == 2
@@ -585,7 +582,7 @@ def test_class_count_refusal_names_the_count():
 
 @pytest.mark.parametrize("mode", MODES)
 def test_a_recent_cell_is_not_swept_again(monkeypatch, mode):
-    monkeypatch.setattr(enumeration, "_RECENT", {})
+    enumeration._cell.cache_clear()
     first = enumerate_by_counts(4, 5, mode=mode, connected=True)
 
     def no_sweep(*args):
@@ -597,8 +594,7 @@ def test_a_recent_cell_is_not_swept_again(monkeypatch, mode):
         enumerate_by_counts(4, 5, mode=mode)
 
 
-def test_a_smaller_cap_on_a_recent_cell_is_still_refused(monkeypatch):
-    monkeypatch.setattr(enumeration, "_RECENT", {})
+def test_a_smaller_cap_on_a_recent_cell_is_still_refused():
     with pytest.raises(BasisTooLarge) as cold:
         enumerate_by_counts(3, 4, cap=2)
     assert len(enumerate_by_counts(3, 4, cap=13)) == 13
@@ -609,8 +605,7 @@ def test_a_smaller_cap_on_a_recent_cell_is_still_refused(monkeypatch):
     assert warm.value.cap == cold.value.cap == 2
 
 
-def test_each_call_returns_its_own_list(monkeypatch):
-    monkeypatch.setattr(enumeration, "_RECENT", {})
+def test_each_call_returns_its_own_list():
     first = enumerate_by_counts(4, 5)
     expected = list(first)
     first.clear()
@@ -618,15 +613,52 @@ def test_each_call_returns_its_own_list(monkeypatch):
     assert second == expected and second is not enumerate_by_counts(4, 5)
 
 
-def test_the_memo_keeps_only_the_most_recent_cells(monkeypatch):
-    monkeypatch.setattr(enumeration, "_RECENT", {})
-    monkeypatch.setattr(enumeration, "_RECENT_CELLS", 2)
-    calls = [(3, 3), (3, 4), (3, 3), (4, 4), (4, 5), (4, 4)]
-    # least recently used first: a hit moves its cell to the end, past the bound the first goes
-    held = [[(3, 3)], [(3, 3), (3, 4)], [(3, 4), (3, 3)], [(3, 3), (4, 4)], [(4, 4), (4, 5)], [(4, 5), (4, 4)]]
-    for (v, e), expected in zip(calls, held):
+def test_the_memo_keeps_only_the_most_recent_cells():
+    """A hit makes its cell the most recently used, and past four cells the
+    least recently used goes: (3, 4) is evicted by (3, 5) although it came
+    after (3, 3), so a first-in-first-out memo would hit on it."""
+    enumeration._cell.cache_clear()
+    calls = [(3, 3), (3, 4), (3, 3), (4, 4), (4, 5), (3, 5), (3, 4), (3, 3)]
+    hits = []
+    for v, e in calls:
+        before = enumeration._cell.cache_info().hits
         enumerate_by_counts(v, e)
-        assert [key[:2] for key in enumeration._RECENT] == expected
+        hits.append(enumeration._cell.cache_info().hits - before)
+    assert hits == [0, 0, 1, 0, 0, 0, 0, 0]
+    assert enumeration._cell.cache_info().maxsize == enumeration._cell.cache_info().currsize == 4
+
+
+def test_a_refusal_does_not_depend_on_earlier_calls():
+    """The rows bound refuses trivalent order 2 at cap 50 even after the
+    same cell was enumerated at the default cap."""
+    refused = "the slice built at V=4, E=6 reaches 3888 rows"
+    with pytest.raises(BasisTooLarge, match=refused):
+        enumerate_trivalent(2, connected=True, mode=SymmetryMode.LITERAL, cap=50)
+    assert len(enumerate_trivalent(2, connected=True, mode=SymmetryMode.LITERAL)) == 75
+    with pytest.raises(BasisTooLarge, match=refused):
+        enumerate_trivalent(2, connected=True, mode=SymmetryMode.LITERAL, cap=50)
+
+
+def test_the_dimension_table_sweeps_each_non_empty_cell_once(monkeypatch):
+    """delta_matrix and rank over the 34 dimension-table cells sweep each
+    distinct (V, E) cell of their domains and codomains that has graphs,
+    V >= 2 vertices all touched by E edges, once, even where no class
+    survives."""
+    enumeration._cell.cache_clear()
+    swept = []
+
+    def counting(*args):
+        swept.append(args[1])
+        return _bulk_survivors(*args)
+
+    monkeypatch.setattr(enumeration, "_bulk_survivors", counting)
+    cells = set()
+    for mode, order, degree in dimension_table_sweep():
+        dm = delta_matrix(order, degree, mode=mode)
+        dm.rank()
+        cells |= {(mode, v, e) for v, e in map(counts_for_grading, (order, order), (degree, degree + 1))
+                  if 2 <= v <= 2 * e}
+    assert len(swept) == len(cells) == 37
 
 
 @pytest.mark.parametrize(

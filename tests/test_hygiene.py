@@ -6,7 +6,8 @@ that are never referenced (the package __init__, which re-exports, is
 exempt).  It also fails on module-level functions, classes and constants
 of src/graphcoh/ that nothing in src/, tests/ or scripts/ names outside
 their own definition (dunder names are exempt), on private (_-prefixed)
-ones that only tests name, on package names the
+ones that only tests name, on a change to the set of public names and
+methods that only tests name, on package names the
 benchmark's tracer wraps or reads that no longer exist, on calls to
 splitlines() outside errors.py, whose line reader every text format shares,
 on third-party modules a test importorskips that the dev extra of
@@ -33,6 +34,8 @@ SOURCES = sorted(
     p for d in ("src", "tests", "scripts") for p in (ROOT / d).rglob("*.py")
 )
 LIBRARY = [p for p in SOURCES if ROOT / "tests" not in p.parents]
+# Code that calls the package: the library but the package's re-exports, and the benchmark.
+CALLERS = [p for p in LIBRARY if p != PACKAGE / "__init__.py"] + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -96,10 +99,14 @@ def defined_names(statement: ast.stmt) -> list[str]:
     return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
-def referenced_names(node: ast.AST) -> set[str]:
-    """Names read, attributes accessed and names imported anywhere under node."""
+def referenced_names(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names read, attributes accessed and names imported anywhere under
+    node, outside skip."""
+    inside = {id(n) for n in ast.walk(skip)} if skip else set()
     out: set[str] = set()
     for n in ast.walk(node):
+        if id(n) in inside:
+            continue
         if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
@@ -163,6 +170,53 @@ def test_private_definition_named_only_by_a_test_is_detected(tmp_path):
 def test_module_private_definitions_are_named_outside_tests(path):
     """Tests alone keep no private helper alive: the library must name it."""
     assert private_definitions_unused(path, LIBRARY) == []
+
+
+def names_only_tests_call(module: Path, callers: list[Path]) -> list[str]:
+    """Public definitions of module, module-level or methods of its
+    classes, that no statement of callers names outside their own."""
+    tree = ast.parse(module.read_text())
+    elsewhere = set().union(*(referenced_names(ast.parse(p.read_text())) for p in callers if p != module))
+    definitions = [(name, statement) for statement in tree.body for name in defined_names(statement)]
+    definitions += [(f"{cls.name}.{f.name}", f) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                    for f in cls.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [
+        f"{module.stem}.{name}"
+        for name, node in definitions
+        if not (short := name.rpartition(".")[2]).startswith("_")
+        and short not in elsewhere | referenced_names(tree, skip=node)
+    ]
+
+
+def test_name_only_tests_call_is_detected(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "class Box:\n    def used(self):\n        return self.size()\n\n    def size(self):\n        return 1\n\n"
+        "    def spare(self):\n        return self.spare\n\n\ndef helper():\n    pass\n\n\ndef _hidden():\n    pass\n"
+    )
+    caller = tmp_path / "caller.py"
+    caller.write_text("import mod\nmod.Box().used()\n")
+    assert names_only_tests_call(module, [module, caller]) == ["mod.helper", "mod.Box.spare"]
+
+
+# The README's Library section gives each of these its reason to stay.
+TEST_ONLY_NAMES = {
+    "canonical.self_symmetries",
+    "coboundary.cocycle_basis", "coboundary.contract_edge", "coboundary.format_cochain",
+    "coboundary.parse_matrix", "coboundary.rref",
+    "decorated.format_decoration_lines", "decorated.ihx_check",
+    "graphs.EMPTY_GRAPH", "graphs.is_trivalent", "graphs.k4_graph", "graphs.parse_graph", "graphs.theta_graph",
+    "reps.SpinRep.dimension", "reps.lie_data",
+    "tensors.EquivariantTensor.entry", "tensors.EquivariantTensor.with_label", "tensors.check_equivariance",
+    "tensors.format_tensor", "tensors.half_half_one_generators", "tensors.so3_generators",
+    "tensors.symmetry_profile", "tensors.zero_tensor",
+}
+
+
+def test_the_public_names_only_tests_call_are_listed():
+    """Nothing in src/, scripts/ or perfbench/ names these; a new one is
+    listed here, and its reason in the README, on purpose."""
+    assert {name for m in MODULES for name in names_only_tests_call(m, CALLERS)} == TEST_ONLY_NAMES
 
 
 def test_benchmark_tracer_hooks_resolve():
