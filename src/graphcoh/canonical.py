@@ -20,12 +20,13 @@ that action and its sign, in three patterns: self_symmetries moves one row
 by every permutation, enumeration the live rows of a cell by a block of
 permutations at a time, in sweep order (those that keep the pair (1, 2)
 first, _PermTables.sweep_keep, then the others, sweep_move), and
-canonical_rows many rows by every permutation, in chunks under a fixed
-byte budget.  Rows compare as
-big-endian byte keys exactly as wide as their entries (_keys), so one
-argmin (argmax) picks each canonical row; canonicalize is canonical_rows
-on one row.  _skeletons decodes a stack of rows of either format back
-into skeletons.
+canonical_rows many rows by every permutation, in blocks; both move about
+_BLOCK_BYTES of rows at a time.  Rows compare as big-endian byte keys
+exactly as wide as their entries (_keys), so one argmin (argmax) picks
+each canonical row; canonicalize is canonical_rows on one row.
+_skeletons decodes a stack of rows of either format back into skeletons.
+_PermTables.ends, which pairs meet which vertices, is the one table from
+which enumeration's valence filter and δ read a row's vertex degrees.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ import numpy as np
 from .graphs import GraphSkeleton, SymmetryMode, grading
 
 _LARGE_FACTORIAL_GUARD = 8  # exhaustive search is meant for V <= 8
-_CHUNK_BYTES = 1 << 20  # canonical_rows moves about this many bytes of rows at a time
-_BLOCK_BYTES = 1 << 16  # enumeration's sweep moves about this many bytes of rows a round
+_BLOCK_BYTES = 1 << 16  # canonical_rows and enumeration's sweep move about this many bytes of rows at a time
 _MODES = tuple(SymmetryMode)
 
 
@@ -85,10 +85,11 @@ class GraphClass:
 
 
 class _PermTables:
-    """Per-V tables describing how vertex permutations act on vertex pairs."""
+    """Per-V tables describing how vertex permutations act on vertex pairs,
+    and which vertices each pair meets."""
 
     __slots__ = ("perms", "parity", "pairs", "pair_index", "pair_map", "pair_flip", "pair_map_inv",
-                 "sweep_keep", "sweep_move")
+                 "sweep_keep", "sweep_move", "ends")
 
     def __init__(self, v: int):
         perm_list = list(itertools.permutations(range(1, v + 1)))
@@ -100,6 +101,8 @@ class _PermTables:
         for i, (u, w) in enumerate(pairs):
             ids[u, w] = ids[w, u] = i
         self.pair_index = ids
+        # ends[i, u - 1] is 1 when vertex u is an end of pair i: a row's vertex degrees are sums of these rows
+        self.ends = (np.array(pairs, np.intp).reshape(p, 2, 1) == np.arange(1, v + 1)).any(axis=1).astype(np.uint8)
         # images of each pair's ends under each permutation, shape (V!, p)
         images = np.array(perm_list, dtype=np.intp)
         a = images[:, [u - 1 for u, _ in pairs]]
@@ -191,7 +194,7 @@ def canonical_rows(tables: _PermTables, mode: SymmetryMode, rows: np.ndarray, re
     permutation reaching it, that witness's sign and whether another one
     has the other sign (a zero class), for each row of a stack holding
     `reversals` stored edge reversals each."""
-    step = max(1, _CHUNK_BYTES // (len(tables.perms) * (rows.shape[1] + 1)))
+    step = max(1, _BLOCK_BYTES // (len(tables.perms) * (rows.shape[1] + 1)))
     parts = []
     for lo in range(0, len(rows) or 1, step):  # an empty stack still gives empty results
         chunk = rows[lo : lo + step]

@@ -13,6 +13,7 @@ import argparse
 import functools
 import importlib.resources
 import json
+import math
 import os
 import random
 import sys
@@ -401,16 +402,14 @@ def suite_multiplicities(args: argparse.Namespace, lines: list[str]) -> None:
     expected_full = {Fraction(0): 1, Fraction(1): 3, Fraction(2): 2, Fraction(3): 1}
     if full != expected_full:
         raise _SuiteFailure(f"decomposition of spin-1 cubed: got {full}")
-    dim = sum(m * (int(2 * j) + 1) for j, m in full.items())
+    dim = SpinRep.of(*(j for j, m in full.items() for _ in range(m))).dimension
     if dim != 27:
         raise _SuiteFailure(f"dimension check failed: {dim} != 27")
     lines.append("ok spin-1 cubed decomposes as 0:1 1:3 2:2 3:1 (dimension 27)")
     for spins in ([Fraction(1, 2), Fraction(1, 2)], [2, Fraction(3, 2)], [1, 1, 1, 1]):
-        target = 1
-        for j in spins:
-            target *= int(2 * j) + 1
+        target = math.prod(SpinRep.of(j).dimension for j in spins)
         counts = tensor_decompose(spins)
-        dim = sum(m * (int(2 * j) + 1) for j, m in counts.items())
+        dim = SpinRep.of(*(j for j, m in counts.items() for _ in range(m))).dimension
         if dim != target:
             raise _SuiteFailure(f"dimension not preserved for {spins}: {dim} != {target}")
     lines.append("ok dimension preservation spot checks")

@@ -203,18 +203,16 @@ class Cochain:
 def _contraction_tables(v: int):
     """Contracting pair c of a V-vertex row moves pair q to pair target[c, q]
     at V-1 (a spare last id for q = c), reversed where flip[c, q], with sign
-    sign[c]; touch[c, q] says that q != c shares an end with c.  All four
-    are read off _contract on the complete graph."""
+    sign[c].  All three are read off _contract on the complete graph."""
     pairs, below = _perm_tables(v).pairs, _perm_tables(v - 1)
     complete, p = GraphSkeleton(v, tuple(pairs)), len(pairs)
     target = np.full((p, p), len(below.pairs), dtype=np.int16)
-    (flip, touch), sign = np.zeros((2, p, p), dtype=bool), np.empty(p, dtype=np.int64)
-    for c, (lo, _) in enumerate(pairs):
+    flip, sign = np.zeros((p, p), dtype=bool), np.empty(p, dtype=np.int64)
+    for c in range(p):
         contracted, sign[c], _ = _contract(complete, c + 1, complete.valences())
         for q, (t, h) in zip([q for q in range(p) if q != c], contracted.edges if contracted else ()):
-            # q shares an end with c exactly when its image meets the merged vertex lo
-            target[c, q], flip[c, q], touch[c, q] = below.pair_index[t, h], t > h, lo in (t, h)
-    return target, flip, sign, touch
+            target[c, q], flip[c, q] = below.pair_index[t, h], t > h
+    return target, flip, sign
 
 
 def _images(classes: Sequence[GraphClass]):
@@ -226,10 +224,10 @@ def _images(classes: Sequence[GraphClass]):
     rows, reversals = _rows_of([c.skeleton for c in classes], mode, _perm_tables(v))
     if v < 2:  # the empty graph has nothing to contract
         return (np.zeros(0, dtype=np.intp),) * 3 + (rows[:0],)
-    target, flip, sign, touch = _contraction_tables(v)
+    (target, flip, sign), ends = _contraction_tables(v), _perm_tables(v).ends
     mult = (rows[..., None] == np.arange(len(target))).sum(axis=1) if mode is SymmetryMode.LITERAL else rows
-    # regular pairs, unless no other edge meets their ends (a bare vertex is not a graph)
-    src, pair = np.nonzero((mult == 1) & (mult @ touch > 0))
+    # regular pairs, unless their ends' degrees sum to 2: contracting would leave a bare vertex
+    src, pair = np.nonzero((mult == 1) & (mult @ ends @ ends.T != 2))
     if mode is SymmetryMode.LITERAL:
         others = rows[src][rows[src] != pair[:, None]].reshape(len(src), rows.shape[1] - 1)
         image, flips = target[pair[:, None], others], flip[pair[:, None], others].sum(axis=1)

@@ -11,7 +11,11 @@ pair 0 first (LITERAL) or greatest (otherwise) can be canonical, and the
 same argument one pair further cuts the rows built.  _labeled_universe
 alone states these conditions and builds only the rows that meet them;
 _valence_filter then checks valence only, and the sweep is exact on the
-rows of that slice.
+rows of that slice.  It reads each row's vertex degrees off one
+pair x vertex incidence table, canonical._PermTables.ends, which δ reads
+too (coboundary._images): the rows times the table for multiplicity
+vectors, its rows summed one column of pair ids at a time in LITERAL
+mode, so no per-row gather as wide as the row is made.
 
 One vectorized sweep (_sweep) serves every cell: the live rows meet a
 block of vertex permutations at a time, each permuted row compared with
@@ -26,7 +30,8 @@ that keep pair 0 (canonical._PermTables.sweep_keep).  One that moves it
 puts first ties the greatest, so it meets only those rows, and none in
 LITERAL mode.  Permutations come in order of how many points they move,
 transpositions first, since the cheapest moves kill most rows.  Each
-block moves about _BLOCK_BYTES of rows, so blocks grow as rows die, and
+block moves about canonical._BLOCK_BYTES of rows, the budget
+canonical_rows moves its rows by too, so blocks grow as rows die, and
 the sweep ends once no row is live.  Rows that survive every permutation
 are the canonical nonzero ones.  The slice is built in ascending row
 order, which the filter and the sweep keep, so one canonical._skeletons
@@ -42,9 +47,11 @@ each call returns its own list.
 Enumeration refuses (BasisTooLarge) when V > 8 puts the exhaustive
 permutation sweep out of reach, and when the slice would hold more than
 _ROWS_FACTOR times the configured class cap in rows: _labeled_universe
-counts the rows it is about to hold, all at once in LITERAL mode and
-column by column otherwise, and refuses before it allocates them, naming
-the count reached.  Then more than cap classes are refused; without the
+counts the rows it is about to hold, all at once in LITERAL mode;
+otherwise column by column up to column V - 2, and then, exactly,
+all the rows of the slice (_completions), before the first column bounded
+by the greatest entry alone is built; it refuses before it allocates
+them, naming the count.  Then more than cap classes are refused; without the
 connected filter each surviving row is one class, so that check runs
 before the rows are decoded.  The cap is part of the cache key and a
 refusal is never kept, so a call's classes, or the reason it is refused,
@@ -95,6 +102,16 @@ def _refuse_classes(v: int, e: int, classes: int, cap: int) -> None:
         raise BasisTooLarge(f"{classes} classes at V={v}, E={e} exceed the cap", cap)
 
 
+def _completions(left: np.ndarray, m: np.ndarray, parts: int) -> int:
+    """How many rows the given rows grow into when each still needs `parts`
+    entries in 0..m summing to left: per distinct (left, m), the ways to
+    write left so, by inclusion-exclusion over the entries past m."""
+    (lefts, ms), times = np.unique(np.stack([left, m]), axis=1, return_counts=True)
+    return sum(t * sum((-1) ** i * math.comb(parts, i) * math.comb(n - i * (k + 1) + parts - 1, parts - 1)
+                       for i in range(min(parts, n // (k + 1)) + 1))
+               for n, k, t in zip(lefts.tolist(), ms.tolist(), times.tolist()))
+
+
 def _labeled_universe(v: int, e: int, mode: SymmetryMode, tables, *, cap: int = DEFAULT_CAP) -> np.ndarray:
     """The slice of the labeled universe that is built, in ascending row order.
 
@@ -109,8 +126,11 @@ def _labeled_universe(v: int, e: int, mode: SymmetryMode, tables, *, cap: int = 
     increase are built.  Vectors grow a column at a time, each row by every
     value, ascending, that the entry bounding it allows and that leaves no
     more than the columns after it can hold, so each finished row sums to E.
-    Before the rows, or a column's extensions, are allocated, their count is
-    checked against _ROWS_FACTOR * cap (BasisTooLarge).
+    Before the rows are allocated their count is checked against
+    _ROWS_FACTOR * cap (BasisTooLarge): the sequences all at once; the
+    vectors a column at a time up to column V - 2, each of whose rows grows
+    into at least one row of the slice, and then once, exactly, since every
+    column after is bounded by the greatest entry alone (_completions).
     """
     p = len(tables.pairs)
     if mode is SymmetryMode.LITERAL:
@@ -130,7 +150,10 @@ def _labeled_universe(v: int, e: int, mode: SymmetryMode, tables, *, cap: int = 
         hi = np.minimum(rows[:, col - 1] if col < v - 1 else m, left)
         lo = left - np.minimum(left, np.multiply(m, p - 1 - col, dtype=np.intp))  # what the columns after cannot hold
         counts = np.maximum(hi - lo + 1, 0)
-        _refuse_rows(v, e, int(counts.sum()), cap)
+        if col < v - 1:
+            _refuse_rows(v, e, int(counts.sum()), cap)
+        elif col == v - 1:  # the rows the slice will hold, before the first column bounded by m alone is built
+            _refuse_rows(v, e, _completions(left, m, p - col), cap)
         value = np.repeat(lo - np.cumsum(counts) + counts, counts)  # lo, less the index of the row's first extension
         value += np.arange(len(value))
         rows = np.column_stack([np.repeat(rows, counts, axis=0), value.astype(dtype)])
@@ -138,18 +161,17 @@ def _labeled_universe(v: int, e: int, mode: SymmetryMode, tables, *, cap: int = 
     return rows
 
 
-def _valence_filter(arr: np.ndarray, v: int, mode: SymmetryMode, tables, trivalent: bool) -> np.ndarray:
+def _valence_filter(arr: np.ndarray, mode: SymmetryMode, tables, trivalent: bool) -> np.ndarray:
     """Keep the rows where every vertex is touched (or has valence exactly 3):
-    given rows of the slice (_labeled_universe), the sweep's input."""
-    keep = np.ones(len(arr), dtype=bool)
-    for u in range(1, v + 1):
-        at_u = np.array([u in pair for pair in tables.pairs])
-        if mode is SymmetryMode.LITERAL:
-            hits = at_u[arr]  # is each edge at u?
-        else:
-            hits = arr[:, at_u]  # multiplicity of each pair at u
-        keep &= (hits.sum(axis=1, dtype=np.int64) == 3) if trivalent else hits.any(axis=1)
-    return arr[keep]
+    given rows of the slice (_labeled_universe), the sweep's input.
+
+    A row's vertex degrees sum the rows of canonical._PermTables.ends over
+    its edges: arr @ ends for multiplicity vectors, in their dtype, which
+    holds E; ends[col] summed one column of pair ids at a time in LITERAL
+    mode, in a dtype that holds the row width, E."""
+    ends = tables.ends.astype(np.min_scalar_type(arr.shape[1]))
+    deg = sum(ends[col] for col in arr.T) if mode is SymmetryMode.LITERAL else arr @ ends
+    return arr[(deg == 3).all(axis=1) if trivalent else deg.all(axis=1)]
 
 
 def _sweep(live: np.ndarray, mode: SymmetryMode, tables, perms: np.ndarray) -> np.ndarray:
@@ -196,7 +218,7 @@ def _cell(v: int, e: int, connected: bool, trivalent: bool, mode: SymmetryMode, 
     refusal; the four most recently used argument tuples keep their classes."""
     tables = _perm_tables(v)
     rows = _bulk_survivors(
-        _valence_filter(_labeled_universe(v, e, mode, tables, cap=cap), v, mode, tables, trivalent), mode, tables)
+        _valence_filter(_labeled_universe(v, e, mode, tables, cap=cap), mode, tables, trivalent), mode, tables)
     if not connected:  # each row is one class: refuse before decoding them
         _refuse_classes(v, e, len(rows), cap)
     skeletons = _skeletons(v, rows if mode is SymmetryMode.LITERAL else rows[::-1], mode, tables.pairs)

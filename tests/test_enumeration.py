@@ -28,6 +28,7 @@ from graphcoh.coboundary import delta_matrix
 from graphcoh.enumeration import (
     DEFAULT_CAP,
     _bulk_survivors,
+    _completions,
     _labeled_universe,
     _valence_filter,
     enumerate_by_counts,
@@ -35,7 +36,7 @@ from graphcoh.enumeration import (
     enumerate_trivalent,
     resolve_cap,
 )
-from graphcoh.errors import BasisTooLarge
+from graphcoh.errors import BasisTooLarge, IsolatedVertex
 from graphcoh.graphs import EMPTY_GRAPH, GraphSkeleton, SymmetryMode, counts_for_grading, grading, k4_graph, theta_graph
 
 MODES = (SymmetryMode.LITERAL, SymmetryMode.EDGE_RENUMBERING)
@@ -234,9 +235,7 @@ def counted_sweep(monkeypatch, mode, vertices, edges):
     """The filtered rows of a cell, its sweep's survivors and, for each
     round, the rows moved and the block of permutations handed to _act."""
     tables = _perm_tables(vertices)
-    rows = _valence_filter(
-        _labeled_universe(vertices, edges, mode, tables), vertices, mode, tables, False
-    )
+    rows = _valence_filter(_labeled_universe(vertices, edges, mode, tables), mode, tables, False)
     rounds = []
 
     def counting_act(*args):
@@ -351,14 +350,16 @@ def test_the_sweep_stops_once_no_row_is_live(monkeypatch, vertices, edges, budge
 
 
 # Every call of test_class_lists_are_frozen's range whose full universe has at
-# most 20,000 rows, and three edge-renumbering cells whose rows need uint16.
+# most 20,000 rows, three edge-renumbering cells whose rows need uint16, and a
+# literal one whose rows fit uint8 but whose degrees, 256, do not.
 SLICE_CELLS = [
     (mode, v, e)
     for mode in MODES
     for v in range(2, 9)
     for e in range((v + 1) // 2, 3 * v // 2 + 2)
     if full_universe_size(v, e, mode) <= 20_000
-] + [(SymmetryMode.EDGE_RENUMBERING, v, e) for v, e in ((2, 256), (3, 256), (3, 300))]
+] + [(SymmetryMode.EDGE_RENUMBERING, v, e) for v, e in ((2, 256), (3, 256), (3, 300))] + [
+    (SymmetryMode.LITERAL, 2, 256)]
 
 
 def first_pair_slice(full, vertices, edges, mode, tables):
@@ -371,6 +372,21 @@ def first_pair_slice(full, vertices, edges, mode, tables):
     return (full[:, 0] == full.max(axis=1)) & (np.diff(full[:, 1 : vertices - 1].astype(int)) <= 0).all(axis=1)
 
 
+def meets_valence(v, row, mode, pairs, trivalent):
+    """Whether one row decodes to a skeleton, which touches every vertex,
+    with every valence 3 if trivalent."""
+    try:
+        skeleton = decode_row(v, row, mode, pairs)
+    except IsolatedVertex:
+        return False
+    return not trivalent or set(skeleton.valences()) == {3}
+
+
+def valence_reference(rows, v, mode, pairs, trivalent):
+    """The rows meets_valence keeps, one decoded skeleton at a time."""
+    return [row for row in rows.tolist() if meets_valence(v, row, mode, pairs, trivalent)]
+
+
 @pytest.mark.parametrize(
     "mode, vertices, edges", SLICE_CELLS, ids=[f"{m.value}-{v}-{e}" for m, v, e in SLICE_CELLS]
 )
@@ -379,9 +395,11 @@ def test_the_first_pair_slice_loses_no_canonical_row(mode, vertices, edges):
     pair is (1, 2) and whose second is (1, 2), (1, 3) or (3, 4) (LITERAL),
     or whose first entry is their greatest and whose entries 1..V - 2, on
     (1, 3), ..., (1, V), do not increase (otherwise), in its dtype and in
-    strictly ascending key order.  The sweep keeps exactly the rows of the
-    full universe, trivalent or not, that canonical_rows maps to themselves
-    and does not flag as zero."""
+    strictly ascending key order.  The valence filter keeps exactly the rows
+    of the slice that decode to a skeleton, every vertex touched, whose
+    valences() are all 3 when trivalent.  The sweep keeps exactly the rows
+    of the full universe, trivalent or not, that canonical_rows maps to
+    themselves and does not flag as zero."""
     tables = _perm_tables(vertices)
     full = full_universe(vertices, edges, mode)
     part = _labeled_universe(vertices, edges, mode, tables)
@@ -391,11 +409,39 @@ def test_the_first_pair_slice_loses_no_canonical_row(mode, vertices, edges):
     keys = _keys(part)
     assert (keys[:-1] < keys[1:]).all()
     for trivalent in (False, True) if 2 * edges == 3 * vertices else (False,):
-        rows = _valence_filter(full, vertices, mode, tables, trivalent)
+        assert _valence_filter(part, mode, tables, trivalent).tolist() == valence_reference(
+            part, vertices, mode, tables.pairs, trivalent)
+        rows = _valence_filter(full, mode, tables, trivalent)
         best, _, _, zero = canonical_rows(tables, mode, rows, np.zeros(len(rows), dtype=np.int64))
         canonical = rows[(best == rows).all(axis=1) & ~zero]
-        kept = _bulk_survivors(_valence_filter(part, vertices, mode, tables, trivalent), mode, tables)
+        kept = _bulk_survivors(_valence_filter(part, mode, tables, trivalent), mode, tables)
         assert kept.tolist() == canonical.tolist()
+
+
+# The edge-renumbering cells of SLICE_CELLS with a column bounded by the greatest entry alone.
+RENUMBERING_SLICE_CELLS = [(v, e) for mode, v, e in SLICE_CELLS if mode is SymmetryMode.EDGE_RENUMBERING and v > 2]
+
+
+@pytest.mark.parametrize(
+    "vertices, edges", RENUMBERING_SLICE_CELLS, ids=[f"{v}-{e}" for v, e in RENUMBERING_SLICE_CELLS]
+)
+def test_the_exact_row_count_is_the_rows_built(monkeypatch, vertices, edges):
+    """Once the columns up to V - 2 of a multiplicity vector are built, the
+    builder counts the rows they grow into, exactly, and holds that many."""
+    counted = []
+    monkeypatch.setattr(enumeration, "_completions", lambda *args: counted.append(_completions(*args)) or counted[-1])
+    rows = _labeled_universe(vertices, edges, SymmetryMode.EDGE_RENUMBERING, _perm_tables(vertices))
+    assert counted == [len(rows)]
+
+
+def test_a_large_slice_is_refused_before_a_column_bounded_by_its_greatest_entry(monkeypatch):
+    """At the default cap the edge-renumbering (8, 12) slice is refused on
+    its exact row count with only the columns up to V - 2 = 6 built."""
+    widths, column_stack = [], np.column_stack
+    monkeypatch.setattr(np, "column_stack", lambda arrays: widths.append(arrays[0].shape[1] + 1) or column_stack(arrays))
+    with pytest.raises(BasisTooLarge, match="the slice built at V=8, E=12 reaches 47481002 rows"):
+        enumerate_by_counts(8, 12, mode=SymmetryMode.EDGE_RENUMBERING)
+    assert widths == [2, 3, 4, 5, 6, 7]
 
 
 def dimension_table_sweep():
@@ -413,7 +459,7 @@ def test_sweep_keeps_the_ascending_order_of_the_universe():
     for mode, order, degree in sweep:
         v, e = counts_for_grading(order, degree)
         tables = _perm_tables(v)
-        rows = _bulk_survivors(_valence_filter(_labeled_universe(v, e, mode, tables), v, mode, tables, False),
+        rows = _bulk_survivors(_valence_filter(_labeled_universe(v, e, mode, tables), mode, tables, False),
                                mode, tables)
         keys = _keys(rows)
         assert (keys[:-1] < keys[1:]).all(), (mode, v, e)
@@ -439,11 +485,13 @@ DECODED_CELLS = [(SymmetryMode.LITERAL, 4, 6, True), (SymmetryMode.LITERAL, 5, 6
 def test_skeletons_decodes_each_survivor_as_its_row_says(mode, vertices, edges, trivalent):
     """The batched decoder agrees with a row-by-row decode on every
     survivor of a cell, and _rows_of encodes its skeletons back into the
-    rows, with no edge reversed."""
+    rows, with no edge reversed.  The valence filter before the sweep keeps
+    the rows meets_valence keeps."""
     tables = _perm_tables(vertices)
-    rows = _bulk_survivors(
-        _valence_filter(_labeled_universe(vertices, edges, mode, tables), vertices, mode, tables, trivalent),
-        mode, tables)
+    part = _labeled_universe(vertices, edges, mode, tables)
+    filtered = _valence_filter(part, mode, tables, trivalent)
+    assert filtered.tolist() == valence_reference(part, vertices, mode, tables.pairs, trivalent)
+    rows = _bulk_survivors(filtered, mode, tables)
     assert len(rows)
     skeletons = _skeletons(vertices, rows, mode, tables.pairs)
     assert skeletons == [decode_row(vertices, row.tolist(), mode, tables.pairs) for row in rows]

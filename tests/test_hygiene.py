@@ -13,6 +13,10 @@ splitlines() outside errors.py, whose line reader every text format shares,
 on third-party modules a test importorskips that the dev extra of
 pyproject.toml does not list, and on front-end code other than the shared
 runner that decides how a run ends.
+
+code_lines is the size a simplification is measured by: the lines that
+hold code, without docstrings and comments.  `python tests/test_hygiene.py`
+prints it for each module of src/graphcoh and for the package.
 """
 
 from __future__ import annotations
@@ -20,8 +24,10 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import io
 import re
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -60,6 +66,30 @@ def test_unused_import_is_detected():
 @pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def code_lines(source: str) -> int:
+    """The lines of source that hold a token of code: blank lines, comments
+    and the docstrings of the module, its classes and functions do not count."""
+    docstrings = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and ast.get_docstring(n):
+            docstrings.update(range(n.body[0].lineno, n.body[0].end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in layout:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def test_code_lines_are_counted():
+    source = (
+        '"""Module.\n\nMore."""\n\nimport os  # a comment\n\n\ndef f(x):\n    """Doc."""\n'
+        "    # a comment alone\n    return (x +\n            1)\n\n\nclass A:\n    'Doc.'\n"
+        '    y = """not a\ndocstring"""\n'
+    )
+    assert code_lines(source) == 7  # import, def, two of return, class, two of y
 
 
 def splitlines_calls(source: str) -> list[int]:
@@ -206,7 +236,7 @@ TEST_ONLY_NAMES = {
     "coboundary.parse_matrix", "coboundary.rref",
     "decorated.format_decoration_lines", "decorated.ihx_check",
     "graphs.EMPTY_GRAPH", "graphs.is_trivalent", "graphs.k4_graph", "graphs.parse_graph", "graphs.theta_graph",
-    "reps.SpinRep.dimension", "reps.lie_data",
+    "reps.lie_data",
     "tensors.EquivariantTensor.entry", "tensors.EquivariantTensor.with_label", "tensors.check_equivariance",
     "tensors.format_tensor", "tensors.half_half_one_generators", "tensors.so3_generators",
     "tensors.symmetry_profile", "tensors.zero_tensor",
@@ -301,3 +331,10 @@ def test_only_the_shared_runner_decides_how_a_front_end_ends():
     found = {p.name: exit_policy_handlers(p.read_text()) for p in [PACKAGE / "cli.py", *SCRIPTS]}
     owners = {name: {owner for owner, _ in handlers} for name, handlers in found.items()}
     assert owners == {"cli.py": {"run_front_end"}, **{p.name: set() for p in SCRIPTS}}
+
+
+if __name__ == "__main__":
+    sizes = {p.name: code_lines(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    for name, size in sizes.items():
+        print(f"{size:6d}  {name}")
+    print(f"{sum(sizes.values()):6d}  src/graphcoh")
